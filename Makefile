@@ -4,7 +4,7 @@ GO ?= go
 # caches, shared compiled physical plans, parallel TupleTreePattern workers)
 # plus the unsafe-aliasing ingest scanner and the parallel corpus layer get a
 # dedicated -race run.
-RACE_PKGS = ./internal/collection ./internal/exec ./internal/join ./internal/physical ./internal/server ./internal/xmlstore
+RACE_PKGS = ./internal/collection ./internal/join ./internal/physical ./internal/server ./internal/xmlstore
 
 .PHONY: all build vet test race check bench serve run-server bench-compare bench-smoke fuzz-smoke clean
 

@@ -4,6 +4,7 @@ package xqtp
 // DESIGN.md and EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -50,30 +51,6 @@ func BenchmarkAblationBulkConversion(b *testing.B) {
 	}
 }
 
-// BenchmarkStreaming compares the single-scan streaming evaluator (the
-// paper's future-work item) against the index-based algorithms on linear
-// paths, where it applies.
-func BenchmarkStreaming(b *testing.B) {
-	member := memberDoc(b, 1_000_000)
-	xmark := xmarkDoc(b, 1000)
-	queries := []struct {
-		name string
-		q    *Query
-		doc  *Document
-	}{
-		{"linear-desc", MustPrepare(`$input/desc::t01/desc::t02/desc::t03`), member},
-		{"linear-child", MustPrepare(`$input/site/people/person/name`), xmark},
-		{"deep-desc", MustPrepare(`$input//person//interest`), xmark},
-	}
-	for _, tc := range queries {
-		for _, alg := range []Algorithm{NestedLoop, Twig, Staircase, Streaming} {
-			b.Run(fmt.Sprintf("%s/%s", tc.name, alg), func(b *testing.B) {
-				runQuery(b, tc.q, tc.doc, alg)
-			})
-		}
-	}
-}
-
 // BenchmarkParallel measures the parallel TupleTreePattern evaluation on a
 // per-tuple workload (Q5-shaped maps evaluate one pattern per person).
 func BenchmarkParallel(b *testing.B) {
@@ -82,12 +59,13 @@ func BenchmarkParallel(b *testing.B) {
 	// input tuples (one per selected person), which is where per-context
 	// parallelism applies.
 	q := MustPrepare(`$input//person[string-length(name) > 3]/profile/interest`)
+	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := q.RunParallel(doc, NestedLoop, workers); err != nil {
+				if _, _, err := q.RunWith(ctx, doc, NestedLoop, RunOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,7 +85,7 @@ func waitNoGoroutineLeak(t *testing.T, before int) {
 func TestCancelMidCorpusRun(t *testing.T) {
 	corpus := cancelTestCorpus(t)
 	q := MustPrepare(`$input//person[emailaddress]/name`)
-	full, err := corpus.RunParallel(q, NestedLoop, 8)
+	full, err := runCorpus(corpus, q, NestedLoop, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestCancelLeavesPoolsClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pq.Name, err)
 		}
-		oracle, err := corpus.RunParallel(q, NestedLoop, 8)
+		oracle, err := runCorpus(corpus, q, NestedLoop, 8)
 		if err != nil {
 			t.Fatalf("%s: %v", pq.Name, err)
 		}
@@ -148,7 +149,7 @@ func TestCancelLeavesPoolsClean(t *testing.T) {
 			if err != nil && !errors.Is(err, ErrCanceled) {
 				t.Fatalf("%s/%v canceled run: %v", pq.Name, alg, err)
 			}
-			got, err := corpus.RunParallel(q, alg, 8)
+			got, err := runCorpus(corpus, q, alg, 8)
 			if err != nil {
 				t.Fatalf("%s/%v rerun after cancel: %v", pq.Name, alg, err)
 			}
@@ -168,19 +169,19 @@ func TestPreCanceledContext(t *testing.T) {
 	q := MustPrepare(`$input//person/name`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := q.RunCtx(ctx, doc, Staircase); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx on canceled context: %v", err)
+	if _, _, err := q.RunWith(ctx, doc, Staircase, RunOptions{}); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunWith on canceled context: %v", err)
 	}
-	if _, err := corpus.RunParallelCtx(ctx, q, Staircase, 4); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("RunParallelCtx on canceled context: %v", err)
+	if _, _, err := corpus.RunWith(ctx, q, Staircase, RunOptions{Workers: 4}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Corpus.RunWith on canceled context: %v", err)
 	}
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel2()
-	if _, err := q.RunCtx(expired, doc, Twig); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunCtx on expired deadline: %v", err)
+	if _, _, err := q.RunWith(expired, doc, Twig, RunOptions{}); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunWith on expired deadline: %v", err)
 	}
 	var re *RunError
-	_, err := q.RunCtx(ctx, doc, NestedLoop)
+	_, _, err := q.RunWith(ctx, doc, NestedLoop, RunOptions{})
 	if !errors.As(err, &re) {
 		t.Fatalf("canceled run error is not a *RunError: %v", err)
 	}
@@ -193,7 +194,7 @@ func TestPreCanceledContext(t *testing.T) {
 func TestMaxRowsPrefix(t *testing.T) {
 	corpus := cancelTestCorpus(t)
 	q := MustPrepare(`$input//person[emailaddress]/name`)
-	full, err := corpus.RunParallel(q, Staircase, 8)
+	full, err := runCorpus(corpus, q, Staircase, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestMaxRowsPrefix(t *testing.T) {
 func TestMaxBytesBudget(t *testing.T) {
 	corpus := cancelTestCorpus(t)
 	q := MustPrepare(`$input//person`)
-	full, err := corpus.RunParallel(q, Staircase, 8)
+	full, err := runCorpus(corpus, q, Staircase, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,20 +315,16 @@ func TestExplainPhysicalCtxCancel(t *testing.T) {
 	q := MustPrepare(`$input//person[emailaddress]/name`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := q.ExplainPhysicalCtx(ctx, Auto, doc); !errors.Is(err, ErrCanceled) {
+	if _, err := q.ExplainPhysical(ctx, Auto, doc); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
-	// And with a live context it matches the uncancelled explain.
-	want, err := q.ExplainPhysical(Auto, doc)
+	// And with a live context it renders the cost model's act= columns.
+	got, err := q.ExplainPhysical(context.Background(), Auto, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := q.ExplainPhysicalCtx(context.Background(), Auto, doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatal("ExplainPhysicalCtx(background) differs from ExplainPhysical")
+	if !strings.Contains(got, "act=") {
+		t.Fatalf("live explain lacks the actual cardinalities:\n%s", got)
 	}
 }
 
@@ -350,27 +347,28 @@ func TestNormalizeWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := q.RunParallel(doc, Staircase, 0)
+	got, _, err := q.RunWith(context.Background(), doc, Staircase, RunOptions{Workers: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sameItems(want, got); err != nil {
-		t.Fatalf("RunParallel(workers=0) differs from Run: %v", err)
+		t.Fatalf("RunWith(workers=GOMAXPROCS) differs from Run: %v", err)
 	}
-	cgot, err := corpus.RunParallel(q, Staircase, 0)
+	cgot, err := runCorpus(corpus, q, Staircase, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cwant, err := corpus.RunParallel(q, Staircase, 1)
+	cwant, err := runCorpus(corpus, q, Staircase, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sameItems(cwant, cgot); err != nil {
-		t.Fatalf("Corpus.RunParallel(workers=0) differs from workers=1: %v", err)
+		t.Fatalf("Corpus.RunWith(workers=0) differs from workers=1: %v", err)
 	}
 }
 
-// RunCtx with a background context is exactly Run, for every algorithm.
+// RunWith with a background context and no options is exactly Run, for
+// every algorithm.
 func TestRunCtxBackgroundEqualsRun(t *testing.T) {
 	corpus := cancelTestCorpus(t)
 	doc := corpus.DocumentAt(1)
@@ -379,17 +377,17 @@ func TestRunCtxBackgroundEqualsRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pq.Name, err)
 		}
-		for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Auto, Streaming} {
+		for _, alg := range []Algorithm{NestedLoop, Staircase, Twig, Auto} {
 			want, err := q.Run(doc, alg)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", pq.Name, alg, err)
 			}
-			got, err := q.RunCtx(context.Background(), doc, alg)
+			got, _, err := q.RunWith(context.Background(), doc, alg, RunOptions{})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", pq.Name, alg, err)
 			}
 			if err := sameItems(want, got); err != nil {
-				t.Errorf("%s/%v: RunCtx differs from Run: %v", pq.Name, alg, err)
+				t.Errorf("%s/%v: RunWith differs from Run: %v", pq.Name, alg, err)
 			}
 		}
 	}

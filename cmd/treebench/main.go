@@ -43,7 +43,7 @@ func main() {
 		jsonPath = flag.String("json", "", "write the report as JSON to this file (table1 and serve)")
 		cpusFlag = flag.String("cpus", "", "comma-separated GOMAXPROCS settings to measure (serve only, e.g. 1,2,4)")
 		clients  = flag.String("clients", "", "comma-separated HTTP client counts for the serve experiment (default 1,4,16; quick 1,4)")
-		algsFlag = flag.String("algs", "", "comma-separated algorithms for table1/fig6 (nl, sc, twig, auto, stream; default nl,twig,sc)")
+		algsFlag = flag.String("algs", "", "comma-separated algorithms for table1/fig6 (nl, sc, twig, auto; default nl,twig,sc)")
 	)
 	flag.Parse()
 

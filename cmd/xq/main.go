@@ -49,7 +49,7 @@ func main() {
 		dir       = flag.String("dir", "", "load every *.xml file of a directory (sorted) into the collection")
 		workers   = flag.Int("workers", runtime.NumCPU(), "ingest and query parallelism for collections")
 		withURI   = flag.Bool("with-uri", false, "prefix every result line with the URI of the document holding it")
-		algName   = flag.String("alg", "sc", "tree-pattern algorithm: nl, sc, twig, auto, stream")
+		algName   = flag.String("alg", "sc", "tree-pattern algorithm: nl, sc, twig, auto")
 		snapshot  = flag.Bool("snapshot", false, "input is a binary corpus snapshot (see -save-snapshot, xmlgen -format snapshot)")
 		saveSnap  = flag.String("save-snapshot", "", "write the loaded input as a binary corpus snapshot to this path")
 		serialize = flag.Bool("serialize", false, "serialize node results as XML")
@@ -140,7 +140,7 @@ func main() {
 
 	if doc == nil {
 		if *explain {
-			phys, err := q.ExplainPhysical(alg, nil)
+			phys, err := q.ExplainPhysical(context.Background(), alg, nil)
 			if err != nil {
 				fatal(err)
 			}
@@ -158,7 +158,7 @@ func main() {
 	}
 
 	if *explain {
-		phys, err := q.ExplainPhysical(alg, doc)
+		phys, err := q.ExplainPhysical(context.Background(), alg, doc)
 		if err != nil {
 			fatal(err)
 		}

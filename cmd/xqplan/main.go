@@ -26,7 +26,7 @@ import (
 
 func main() {
 	trace := flag.Bool("trace", false, "show every intermediate rewriting step")
-	algName := flag.String("alg", "sc", "algorithm of the physical phase: nl, sc, twig, auto, stream")
+	algName := flag.String("alg", "sc", "algorithm of the physical phase: nl, sc, twig, auto")
 	file := flag.String("file", "", "XML document to evaluate the -alg auto cost model against")
 	dir := flag.String("dir", "", "directory of *.xml files: render the -alg auto choice per member")
 	timeout := flag.Duration("timeout", 0, "abort the document-annotated explain after this wall-clock time (the act= columns evaluate the query; 0: no limit)")
@@ -71,7 +71,7 @@ func main() {
 		// Explain's physical phase shows the Staircase plan; render the
 		// requested algorithm's phase (annotated when a document is given)
 		// in addition.
-		phys, err := q.ExplainPhysicalCtx(ctx, alg, doc)
+		phys, err := q.ExplainPhysical(ctx, alg, doc)
 		if err != nil {
 			fatal(err)
 		}
@@ -92,7 +92,7 @@ func main() {
 		}
 		fmt.Printf("\nPer-member plans (%s, %d members):\n", alg, corpus.Len())
 		for i, uri := range corpus.URIs() {
-			phys, err := q.ExplainPhysicalCtx(ctx, alg, corpus.DocumentAt(i))
+			phys, err := q.ExplainPhysical(ctx, alg, corpus.DocumentAt(i))
 			if err != nil {
 				fatal(err)
 			}

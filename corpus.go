@@ -2,7 +2,6 @@ package xqtp
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"os"
 	"sync/atomic"
@@ -194,15 +193,20 @@ func (c *Corpus) NumNodes() int { return c.c.NumNodes() }
 // SizeBytes returns the total serialized size of the members.
 func (c *Corpus) SizeBytes() int { return c.c.SizeBytes() }
 
-// Run evaluates the query against every member and returns the merged
-// results in corpus order (which is cross-document document order). See
-// RunParallel for the evaluation strategy; Run is its workers=1 form.
+// Run evaluates the query against every member, one member at a time, and
+// returns the merged results in corpus order (which is cross-document
+// document order). It is RunWith with a background context and one worker.
 func (c *Corpus) Run(q *Query, alg Algorithm) (Sequence, error) {
-	return c.RunParallel(q, alg, 1)
+	var col execctx.Collector
+	if _, err := c.runCore(nil, q, alg, 1, &col); err != nil {
+		return nil, err
+	}
+	return col.Seq, nil
 }
 
-// RunParallel evaluates the query against the corpus with up to workers
-// goroutines, in one of two shapes chosen by the plan itself:
+// RunWith evaluates the query against the corpus with up to opts.Workers
+// goroutines (<= 0: one per available CPU), in one of two shapes chosen by
+// the plan itself:
 //
 // Root-bound plans (no fn:doc/fn:collection) fan out one evaluation per
 // member — the context item and every free variable bound to the member's
@@ -211,8 +215,9 @@ func (c *Corpus) Run(q *Query, alg Algorithm) (Sequence, error) {
 // at any worker count. Members where some required step of the plan
 // (physical.RequiredSteps over the conjunctive patterns) has an empty rank
 // stream — the name absent entirely, or present only as the wrong node kind
-// — are skipped without evaluation; the members that do run pick their
-// algorithm per member through the cost model when alg is Auto.
+// — are skipped without evaluation and counted in RunInfo.Skipped; the
+// members that do run pick their algorithm per member through the cost model
+// when alg is Auto.
 //
 // Plans that call fn:doc or fn:collection see the whole corpus at once: they
 // evaluate once with the corpus bound as the document resolver, and workers
@@ -220,43 +225,14 @@ func (c *Corpus) Run(q *Query, alg Algorithm) (Sequence, error) {
 // fn:collection()-rooted pattern's context nodes are the member roots, so
 // cross-document parallelism falls out of the existing fan-out). Both shapes
 // reuse the query's plan and preparation caches, keyed per member document.
-func (c *Corpus) RunParallel(q *Query, alg Algorithm, workers int) (Sequence, error) {
-	seq, _, err := c.RunParallelStats(q, alg, workers)
-	return seq, err
-}
-
-// RunStats is the member accounting of one RunParallelStats call.
-type RunStats struct {
-	Members int // corpus members
-	Skipped int // members skipped by the emptiness proof, never evaluated
-}
-
-// RunParallelStats is RunParallel, additionally reporting how many members
-// the count-based emptiness proof skipped.
-func (c *Corpus) RunParallelStats(q *Query, alg Algorithm, workers int) (Sequence, RunStats, error) {
-	var col execctx.Collector
-	stats, err := c.runCore(nil, q, alg, workers, &col)
-	if err != nil {
-		return nil, stats, err
-	}
-	return col.Seq, stats, nil
-}
-
-// RunParallelCtx is RunParallel under a context: the fan-out stops admitting
-// members and the kernels cut in-flight evaluations short once ctx is done,
-// returning ErrCanceled. workers <= 0 means one worker per available CPU.
-func (c *Corpus) RunParallelCtx(ctx context.Context, q *Query, alg Algorithm, workers int) (Sequence, error) {
-	seq, _, err := c.RunWith(ctx, q, alg, RunOptions{Workers: workers})
-	return seq, err
-}
-
-// RunWith evaluates the query against the corpus under a context with
-// deadlines, budgets, and streaming delivery. Member results flow to
-// opts.Sink in corpus order as the merge admits them (a nil Sink collects
-// into the returned Sequence). Budgets are charged at the merge point, so a
-// stopped run's delivered items are exactly the first rows of the full
-// corpus-order result; in-flight member evaluations past the stop are cut
-// short and discarded. opts.Workers <= 0 means one worker per available CPU.
+//
+// The run honors ctx and the options' deadline and budgets. Member results
+// flow to opts.Sink in corpus order as the merge admits them (a nil Sink
+// collects into the returned Sequence). Budgets are charged at the merge
+// point, so a stopped run's delivered items are exactly the first rows of
+// the full corpus-order result; in-flight member evaluations past the stop
+// are cut short and discarded, and the error matches ErrCanceled or
+// ErrBudgetExceeded.
 func (c *Corpus) RunWith(ctx context.Context, q *Query, alg Algorithm, opts RunOptions) (Sequence, RunInfo, error) {
 	ctx, cancel := opts.context(ctx)
 	defer cancel()
@@ -267,12 +243,12 @@ func (c *Corpus) RunWith(ctx context.Context, q *Query, alg Algorithm, opts RunO
 		col = &execctx.Collector{}
 		sink = col
 	}
-	stats, err := c.runCore(ec, q, alg, opts.Workers, sink)
+	skipped, err := c.runCore(ec, q, alg, opts.Workers, sink)
 	info := RunInfo{
 		Rows:    ec.Rows(),
 		Bytes:   ec.Bytes(),
-		Members: stats.Members,
-		Skipped: stats.Skipped,
+		Members: c.c.Len(),
+		Skipped: skipped,
 	}
 	var seq Sequence
 	if col != nil {
@@ -287,13 +263,13 @@ func (c *Corpus) RunWith(ctx context.Context, q *Query, alg Algorithm, opts RunO
 // under a cancel-only view of ec — they observe the stop but never charge
 // the budgets; the merge charges each delivered item in corpus order, so
 // budget cutoffs land on the exact corpus-order prefix regardless of how
-// the worker pool interleaved.
-func (c *Corpus) runCore(ec *execctx.Ctx, q *Query, alg Algorithm, workers int, sink execctx.Sink) (RunStats, error) {
+// the worker pool interleaved. It returns the number of members the
+// emptiness proof skipped.
+func (c *Corpus) runCore(ec *execctx.Ctx, q *Query, alg Algorithm, workers int, sink execctx.Sink) (int, error) {
 	workers = normalizeWorkers(workers)
-	stats := RunStats{Members: c.c.Len()}
 	p, err := q.physicalPlan(alg)
 	if err != nil {
-		return stats, err
+		return 0, err
 	}
 	if p.UsesDocAccess() {
 		rt := &physical.Runtime{
@@ -303,7 +279,7 @@ func (c *Corpus) runCore(ec *execctx.Ctx, q *Query, alg Algorithm, workers int, 
 			Docs:     c.c,
 			EC:       ec,
 		}
-		return stats, p.RunSink(rt, sink)
+		return 0, p.RunSink(rt, sink)
 	}
 	var skip func(int) bool
 	var skipped atomic.Int64
@@ -359,8 +335,7 @@ func (c *Corpus) runCore(ec *execctx.Ctx, q *Query, alg Algorithm, workers int, 
 	}, func(seq Sequence) error {
 		return execctx.Deliver(ec, sink, seq)
 	})
-	stats.Skipped = int(skipped.Load())
-	return stats, err
+	return int(skipped.Load()), err
 }
 
 // URIOf attributes a result item back to the member document holding it
@@ -375,13 +350,4 @@ func (c *Corpus) URIOf(it Item) (string, bool) {
 		return "", false
 	}
 	return d.URI, true
-}
-
-// RunURI evaluates the query against a single member, bound like Query.Run.
-func (c *Corpus) RunURI(q *Query, alg Algorithm, uri string) (Sequence, error) {
-	d, ok := c.Document(uri)
-	if !ok {
-		return nil, fmt.Errorf("corpus: no document %q", uri)
-	}
-	return q.Run(d, alg)
 }

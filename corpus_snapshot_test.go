@@ -2,6 +2,7 @@ package xqtp
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -71,19 +72,19 @@ func TestCorpusSnapshotQueryDifferential(t *testing.T) {
 	if loaded.NumNodes() != fresh.NumNodes() {
 		t.Fatalf("node count %d, want %d", loaded.NumNodes(), fresh.NumNodes())
 	}
-	algs := []Algorithm{Staircase, Twig, Auto, Streaming}
+	algs := []Algorithm{Staircase, Twig, Auto}
 	for _, pq := range corpusDiffQueries() {
 		q, err := Prepare(pq.Query)
 		if err != nil {
 			t.Fatalf("%s: %v", pq.Name, err)
 		}
 		for _, alg := range algs {
-			want, err := fresh.RunParallel(q, alg, 1)
+			want, err := runCorpus(fresh, q, alg, 1)
 			if err != nil {
 				t.Fatalf("%s/%v/fresh: %v", pq.Name, alg, err)
 			}
 			for _, workers := range []int{1, 8} {
-				got, err := loaded.RunParallel(q, alg, workers)
+				got, err := runCorpus(loaded, q, alg, workers)
 				if err != nil {
 					t.Fatalf("%s/%v/workers=%d/loaded: %v", pq.Name, alg, workers, err)
 				}
@@ -165,7 +166,7 @@ func TestCorpusSnapshotExtend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := grown.RunParallel(q, Auto, 2)
+	res, err := runCorpus(grown, q, Auto, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,19 +210,20 @@ func TestCorpusFileQueryDifferential(t *testing.T) {
 	if loaded.NumNodes() != fresh.NumNodes() {
 		t.Fatalf("node count %d, want %d", loaded.NumNodes(), fresh.NumNodes())
 	}
-	algs := []Algorithm{Staircase, Twig, Auto, Streaming}
+	algs := []Algorithm{Staircase, Twig, Auto}
+	ctx := context.Background()
 	for _, pq := range corpusDiffQueries() {
 		q, err := Prepare(pq.Query)
 		if err != nil {
 			t.Fatalf("%s: %v", pq.Name, err)
 		}
 		for _, alg := range algs {
-			want, wantStats, err := fresh.RunParallelStats(q, alg, 1)
+			want, wantStats, err := fresh.RunWith(ctx, q, alg, RunOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s/%v/fresh: %v", pq.Name, alg, err)
 			}
 			for _, workers := range []int{1, 8} {
-				got, gotStats, err := loaded.RunParallelStats(q, alg, workers)
+				got, gotStats, err := loaded.RunWith(ctx, q, alg, RunOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s/%v/workers=%d/mapped: %v", pq.Name, alg, workers, err)
 				}
@@ -282,11 +284,11 @@ func TestCorpusFileReadAllFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.RunParallel(q, Auto, 2)
+	want, err := runCorpus(fresh, q, Auto, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.RunParallel(q, Auto, 2)
+	got, err := runCorpus(loaded, q, Auto, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,6 +351,11 @@ func TestDocumentOpenSnapshotFile(t *testing.T) {
 	}
 	if _, err := q.RunWithVars(doc2, Auto, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("RunWithVars after Close = %v, want ErrClosed", err)
+	}
+	// The Auto explain consults the document's symbols and streams, which
+	// the closed mapping no longer backs.
+	if _, err := q.ExplainPhysical(context.Background(), Auto, doc2); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ExplainPhysical after Close = %v, want ErrClosed", err)
 	}
 	// A truncated single-document snapshot is rejected at open (the member
 	// is validated eagerly on this path).

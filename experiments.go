@@ -234,8 +234,6 @@ func shortAlg(a Algorithm) string {
 		return "SC"
 	case Auto:
 		return "auto"
-	case Streaming:
-		return "stream"
 	}
 	return "?"
 }

@@ -2,6 +2,7 @@ package xqtp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -236,7 +237,7 @@ func RunCollection(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 				}
 				items, skipped := 0, 0
 				op := func() (int, error) {
-					seq, rs, err := corpus.RunParallelStats(q, Auto, workers)
+					seq, rs, err := corpus.RunWith(context.Background(), q, Auto, RunOptions{Workers: workers})
 					if err != nil {
 						return 0, err
 					}

@@ -1,6 +1,7 @@
 package xqtp
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -167,7 +168,7 @@ func RunOptimizer(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 			if err != nil {
 				return fmt.Errorf("%s: %w", pq.Name, err)
 			}
-			_, rs, err := corpus.RunParallelStats(q, Auto, workers)
+			_, rs, err := corpus.RunWith(context.Background(), q, Auto, RunOptions{Workers: workers})
 			if err != nil {
 				return fmt.Errorf("%s over %d docs: %w", pq.Name, nDocs, err)
 			}

@@ -1,6 +1,7 @@
 package xqtp
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -208,7 +209,7 @@ func RunSnapshot(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 			d, allocs, bytesPerOp, err = measureCold(opts.Repeats,
 				func() error { c, err = snapshotOpen(path, mode); return err },
 				func() error {
-					seq, rs, err := c.RunParallelStats(q, Auto, 1)
+					seq, rs, err := c.RunWith(context.Background(), q, Auto, RunOptions{Workers: 1})
 					if err != nil {
 						return err
 					}
@@ -243,14 +244,14 @@ func RunSnapshot(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 			if err != nil {
 				return err
 			}
-			if _, _, err := c.RunParallelStats(q, Auto, 1); err != nil {
+			if _, err := c.Run(q, Auto); err != nil {
 				c.Close()
 				return err
 			}
 			d, allocs, bytesPerOp, err = measureCold(opts.Repeats,
 				func() error { return nil },
 				func() error {
-					_, _, err := c.RunParallelStats(q, Auto, 1)
+					_, err := c.Run(q, Auto)
 					return err
 				},
 				func() {})

@@ -10,6 +10,8 @@
 package core
 
 import (
+	"sort"
+
 	"xqtp/internal/xdm"
 )
 
@@ -249,6 +251,57 @@ func Usage(e Expr, name string) int {
 		n += Usage(c, name)
 	}
 	return n
+}
+
+// FreeVars returns the names of the variables that occur free in e, sorted,
+// respecting shadowing by for/let/typeswitch bindings.
+func FreeVars(e Expr) []string {
+	free := map[string]bool{}
+	binders := map[string]int{} // enclosing bindings per name
+	var walk func(Expr)
+	scoped := func(body Expr, names ...string) {
+		for _, n := range names {
+			binders[n]++
+		}
+		walk(body)
+		for _, n := range names {
+			binders[n]--
+		}
+	}
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case *Var:
+			if binders[x.Name] == 0 {
+				free[x.Name] = true
+			}
+		case *For:
+			walk(x.In)
+			if x.Where != nil {
+				scoped(x.Where, x.Var, x.Pos)
+			}
+			scoped(x.Return, x.Var, x.Pos)
+		case *Let:
+			walk(x.In)
+			scoped(x.Return, x.Var)
+		case *TypeSwitch:
+			walk(x.Input)
+			for _, c := range x.Cases {
+				scoped(c.Body, c.Var)
+			}
+			scoped(x.Default, x.DefVar)
+		default:
+			for _, c := range Children(e) {
+				walk(c)
+			}
+		}
+	}
+	walk(e)
+	out := make([]string, 0, len(free))
+	for v := range free {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Subst returns e with every free occurrence of variable name replaced by

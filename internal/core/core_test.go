@@ -208,6 +208,33 @@ func TestUsageAndSubst(t *testing.T) {
 	}
 }
 
+func TestFreeVars(t *testing.T) {
+	for _, tc := range []struct {
+		e    Expr
+		want string
+	}{
+		// A for binds its variable and position in where and return, not in
+		// its own input.
+		{&For{Var: "x", Pos: "i", In: &Var{Name: "x"},
+			Where:  &Compare{L: &Var{Name: "i"}, R: &Var{Name: "w"}},
+			Return: &Sequence{Items: []Expr{&Var{Name: "x"}, &Var{Name: "r"}}}}, "r w x"},
+		{&Let{Var: "y", In: &Var{Name: "b"}, Return: &Var{Name: "y"}}, "b"},
+		// Typeswitch case and default variables scope over their own
+		// branch only.
+		{&TypeSwitch{Input: &Var{Name: "in"},
+			Cases:  []TSCase{{Var: "c", Body: &Sequence{Items: []Expr{&Var{Name: "c"}, &Var{Name: "v"}}}}},
+			DefVar: "v", Default: &Var{Name: "c"}}, "c in v"},
+		// A nested rebinding of a name does not hide its outer free use.
+		{&Sequence{Items: []Expr{&Var{Name: "z"},
+			&Let{Var: "z", In: &EmptySeq{}, Return: &Var{Name: "z"}}}}, "z"},
+		{&EmptySeq{}, ""},
+	} {
+		if got := strings.Join(FreeVars(tc.e), " "); got != tc.want {
+			t.Errorf("FreeVars(%s) = %q, want %q", String(tc.e), got, tc.want)
+		}
+	}
+}
+
 func TestEvalErrors(t *testing.T) {
 	tr, _ := xmlstore.ParseString(`<a><b/></a>`)
 	env := (*Env)(nil).Bind("d", xdm.Singleton(tr.Root))

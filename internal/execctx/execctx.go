@@ -81,7 +81,7 @@ type Ctx struct {
 
 // From builds the execution context for one run. It returns nil — the
 // zero-overhead context — when ctx can never be canceled and no budget is
-// set, so the legacy entry points stay genuinely free wrappers.
+// set, so a background run with no budget pays nothing for the context.
 func From(ctx context.Context, maxRows, maxBytes int64) *Ctx {
 	if maxRows < 0 {
 		maxRows = 0
@@ -195,8 +195,7 @@ type bulkSink interface {
 }
 
 // Collector is the default sink: it gathers pushed items into a Sequence.
-// The materializing entry points (Run, RunParallel, …) are implemented as
-// streaming runs into a Collector.
+// A run without a caller-supplied sink streams into a Collector.
 type Collector struct {
 	Seq xdm.Sequence
 }

@@ -50,11 +50,7 @@ func nlReference(t *testing.T, ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.P
 func checkKernels(t *testing.T, label string, ix *xmlstore.Index, ctx *xdm.Node, pat *pattern.Pattern) {
 	t.Helper()
 	want := nlReference(t, ix, ctx, pat)
-	algs := []Algorithm{Staircase, Twig}
-	if streamSupported(pat) {
-		algs = append(algs, Streaming)
-	}
-	for _, alg := range algs {
+	for _, alg := range []Algorithm{Staircase, Twig} {
 		p, err := Prepare(alg, ix, pat)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", label, alg, err)

@@ -43,8 +43,6 @@ func (a Algorithm) String() string {
 		return "TwigJoin"
 	case Auto:
 		return "Auto"
-	case Streaming:
-		return "Streaming"
 	}
 	return "?"
 }
@@ -61,8 +59,6 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 		return Twig, nil
 	case "auto", "Auto":
 		return Auto, nil
-	case "stream", "streaming":
-		return Streaming, nil
 	}
 	return 0, fmt.Errorf("join: unknown algorithm %q", name)
 }

@@ -29,7 +29,6 @@ type Prepared struct {
 	single    bool     // single output annotation at the extraction point
 	scOK      bool     // staircase supports every axis
 	twigOK    bool     // twig supports every edge/test
-	streamOK  bool     // streaming automaton supports the spine
 	childOnly bool     // spine has child/attribute/self steps only
 	empty     bool     // some required step's stream is empty document-wide
 
@@ -149,7 +148,6 @@ func Prepare(alg Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*Prepared
 	_, p.single = pat.SingleOutput()
 	p.scOK = scSupported(pat.Root)
 	p.twigOK = twigSupported(pat.Root)
-	p.streamOK = streamSupported(pat)
 	p.childOnly = spineChildOnly(pat.Root)
 	if ix != nil && alg != NestedLoop {
 		p.cols = ix.Tree.Cols
@@ -224,10 +222,6 @@ func (p *Prepared) EvalCtx(ec *execctx.Ctx, ctx *xdm.Node) []Binding {
 		case Twig:
 			if p.twigOK {
 				return wrapNodes(twigEval(p, ec, ctx))
-			}
-		case Streaming:
-			if p.streamOK {
-				return wrapNodes(streamEval(p, ec, ctx))
 			}
 		}
 	}

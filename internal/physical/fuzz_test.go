@@ -1,4 +1,4 @@
-package exec
+package physical
 
 import (
 	"fmt"
@@ -190,7 +190,7 @@ func TestFuzzPipeline(t *testing.T) {
 			want, werr := core.Eval(c, env)
 
 			check := func(label string, plan algebra.Expr, alg join.Algorithm) {
-				got, gerr := NewEngine(alg, engineVars(tr)).Run(plan)
+				got, gerr := runPlan(plan, alg, tr)
 				if (werr == nil) != (gerr == nil) {
 					t.Errorf("seed %d/%d %s: error mismatch (%v vs %v) for %q",
 						seed, docSeed, label, werr, gerr, src)
@@ -202,7 +202,7 @@ func TestFuzzPipeline(t *testing.T) {
 				}
 			}
 			check("raw", rawPlan, join.NestedLoop)
-			for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig, join.Auto, join.Streaming} {
+			for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig, join.Auto} {
 				check("opt/"+alg.String(), optPlan, alg)
 			}
 		}

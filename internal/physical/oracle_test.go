@@ -1,43 +1,16 @@
-package exec
+package physical
 
 import (
 	"math/rand"
 	"testing"
 
 	"xqtp/internal/algebra"
-	"xqtp/internal/compile"
 	"xqtp/internal/core"
 	"xqtp/internal/join"
-	"xqtp/internal/optimize"
 	"xqtp/internal/parser"
-	"xqtp/internal/rewrite"
 	"xqtp/internal/xdm"
 	"xqtp/internal/xmlstore"
 )
-
-var singles = map[string]bool{"d": true, "input": true, "dot": true}
-
-// pipeline runs the full compilation chain.
-func pipeline(t *testing.T, q string, optimized bool) algebra.Expr {
-	t.Helper()
-	e, err := parser.Parse(q)
-	if err != nil {
-		t.Fatalf("parse %s: %v", q, err)
-	}
-	c, err := core.Normalize(e, "dot")
-	if err != nil {
-		t.Fatalf("normalize %s: %v", q, err)
-	}
-	c = rewrite.Rewrite(c, rewrite.Options{SingletonVars: singles})
-	p, err := compile.Compile(c)
-	if err != nil {
-		t.Fatalf("compile %s: %v", q, err)
-	}
-	if optimized {
-		p = optimize.Optimize(p, optimize.Options{SingletonVars: singles})
-	}
-	return p
-}
 
 // oracle evaluates the unrewritten core directly.
 func oracle(t *testing.T, q string, tr *xdm.Tree) (xdm.Sequence, error) {
@@ -57,12 +30,27 @@ func oracle(t *testing.T, q string, tr *xdm.Tree) (xdm.Sequence, error) {
 	return core.Eval(c, env)
 }
 
-func engineVars(tr *xdm.Tree) map[string]xdm.Sequence {
-	return map[string]xdm.Sequence{
-		"dot":   xdm.Singleton(tr.Root),
-		"d":     xdm.Singleton(tr.Root),
-		"input": xdm.Singleton(tr.Root),
+// docRuntime builds a runtime for p with $dot, $d and $input bound to the
+// document node, a private catalog and a private prepared-join cache.
+func docRuntime(p *Plan, tr *xdm.Tree) *Runtime {
+	return &Runtime{
+		Catalog: xmlstore.NewCatalog(),
+		Preps:   NewPrepCache(),
+		Vars: p.BindVars(map[string]xdm.Sequence{
+			"dot":   xdm.Singleton(tr.Root),
+			"d":     xdm.Singleton(tr.Root),
+			"input": xdm.Singleton(tr.Root),
+		}),
 	}
+}
+
+// runPlan lowers plan for alg and evaluates it against tr.
+func runPlan(plan algebra.Expr, alg join.Algorithm, tr *xdm.Tree) (xdm.Sequence, error) {
+	p, err := Compile(plan, alg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(docRuntime(p, tr))
 }
 
 func seqEqual(a, b xdm.Sequence) bool {
@@ -168,7 +156,7 @@ func TestPlansMatchOracle(t *testing.T) {
 			tr := randomDoc(rng, 4+rng.Intn(70))
 			want, werr := oracle(t, q, tr)
 			// Unoptimized plan, NL only (no patterns to dispatch).
-			got, gerr := NewEngine(join.NestedLoop, engineVars(tr)).Run(rawPlan)
+			got, gerr := runPlan(rawPlan, join.NestedLoop, tr)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("%s seed %d (raw): error mismatch %v vs %v", q, seed, werr, gerr)
 			}
@@ -177,7 +165,7 @@ func TestPlansMatchOracle(t *testing.T) {
 					q, seed, want, got, algebra.String(rawPlan))
 			}
 			for _, alg := range algs {
-				got, gerr := NewEngine(alg, engineVars(tr)).Run(optPlan)
+				got, gerr := runPlan(optPlan, alg, tr)
 				if (werr == nil) != (gerr == nil) {
 					t.Fatalf("%s seed %d (%v): error mismatch %v vs %v", q, seed, alg, werr, gerr)
 				}
@@ -196,24 +184,23 @@ func TestPlansMatchOracle(t *testing.T) {
 
 func TestEngineErrors(t *testing.T) {
 	tr, _ := xmlstore.ParseString(`<a><b/></a>`)
-	en := NewEngine(join.NestedLoop, engineVars(tr))
 	// Unbound variable.
-	if _, err := en.Run(&algebra.VarRef{Name: "nope"}); err == nil {
+	if _, err := runPlan(&algebra.VarRef{Name: "nope"}, join.NestedLoop, tr); err == nil {
 		t.Error("unbound variable should fail")
 	}
 	// Field outside a tuple context.
-	if _, err := en.Run(&algebra.Field{Name: "dot"}); err == nil {
+	if _, err := runPlan(&algebra.Field{Name: "dot"}, join.NestedLoop, tr); err == nil {
 		t.Error("unbound field should fail")
 	}
 	// Tuples where items expected.
 	p := &algebra.MapFromItem{Bind: "x", Input: &algebra.VarRef{Name: "d"}}
-	if _, err := en.Run(p); err == nil {
+	if _, err := runPlan(p, join.NestedLoop, tr); err == nil {
 		t.Error("tuple result at top level should fail")
 	}
 	// TreeJoin over atomics.
 	tj := &algebra.TreeJoin{Axis: xdm.AxisChild, Test: xdm.NameTest("b"),
 		Input: &algebra.Const{Item: xdm.String("zap")}}
-	if _, err := en.Run(tj); err == nil {
+	if _, err := runPlan(tj, join.NestedLoop, tr); err == nil {
 		t.Error("TreeJoin over atomic should fail")
 	}
 }
@@ -232,7 +219,7 @@ func TestHeadEarlyExitMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig} {
-		got, err := NewEngine(alg, engineVars(tr)).Run(plan)
+		got, err := runPlan(plan, alg, tr)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}

@@ -1,4 +1,4 @@
-package exec
+package physical
 
 import (
 	"math/rand"
@@ -24,11 +24,14 @@ func TestParallelTTPMatchesSequential(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			tr := randomDoc(rng, 100+rng.Intn(200))
 			for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig} {
-				seqEngine := NewEngine(alg, engineVars(tr))
-				want, err1 := seqEngine.Run(plan)
-				parEngine := NewEngine(alg, engineVars(tr))
-				parEngine.Parallel = 4
-				got, err2 := parEngine.Run(plan)
+				want, err1 := runPlan(plan, alg, tr)
+				p, err := Compile(plan, alg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				par := docRuntime(p, tr)
+				par.Parallel = 4
+				got, err2 := p.Run(par)
 				if (err1 == nil) != (err2 == nil) {
 					t.Fatalf("%s/%v seed %d: error mismatch %v vs %v", q, alg, seed, err1, err2)
 				}
@@ -40,10 +43,10 @@ func TestParallelTTPMatchesSequential(t *testing.T) {
 	}
 }
 
-// One engine, many concurrent Run calls: the serving pattern. The shared
-// catalog builds each index once and the prepared-pattern cache is hit from
-// every goroutine; results must match the single-threaded run (run with
-// -race to validate the synchronization).
+// One compiled plan and one runtime, many concurrent Run calls: the serving
+// pattern. The shared catalog builds each index once and the prepared-pattern
+// cache is hit from every goroutine; results must match the single-threaded
+// run (run with -race to validate the synchronization).
 func TestConcurrentRunsShareEngine(t *testing.T) {
 	queries := []string{
 		`$d//person[emailaddress]/name`,
@@ -54,10 +57,13 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 	trees := []*xdm.Tree{randomDoc(rng, 150), randomDoc(rng, 250)}
 	for _, alg := range []join.Algorithm{join.NestedLoop, join.Staircase, join.Twig, join.Auto} {
 		for _, q := range queries {
-			plan := pipeline(t, q, true)
+			p, err := Compile(pipeline(t, q, true), alg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, tr := range trees {
-				en := NewEngine(alg, engineVars(tr))
-				want, werr := en.Run(plan)
+				rt := docRuntime(p, tr)
+				want, werr := p.Run(rt)
 				const goroutines = 8
 				outs := make([]xdm.Sequence, goroutines)
 				errs := make([]error, goroutines)
@@ -66,7 +72,7 @@ func TestConcurrentRunsShareEngine(t *testing.T) {
 					wg.Add(1)
 					go func(g int) {
 						defer wg.Done()
-						outs[g], errs[g] = en.Run(plan)
+						outs[g], errs[g] = p.Run(rt)
 					}(g)
 				}
 				wg.Wait()

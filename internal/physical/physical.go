@@ -61,14 +61,7 @@ type op interface {
 	eval(rt *Runtime, fr frame) (value, error)
 }
 
-// PrepSource resolves (algorithm, document, pattern) to a prepared join;
-// implemented by exec.PrepCache. Plans fall back to one-shot join.Prepare
-// when the runtime carries none.
-type PrepSource interface {
-	Prepared(alg join.Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*join.Prepared, error)
-}
-
-// Runtime is the per-engine execution environment of a compiled plan. It
+// Runtime is the execution environment of a compiled plan. It
 // carries only what varies between runs: the document side (catalog, prep
 // cache) and the variable bindings. A Runtime may be shared by concurrent
 // Run calls as long as its fields are not mutated.
@@ -78,7 +71,7 @@ type Runtime struct {
 	Catalog *xmlstore.Catalog
 	// Preps caches prepared joins across plans and documents. Nil falls back
 	// to the plan's private per-operator cache plus one-shot preparation.
-	Preps PrepSource
+	Preps *PrepCache
 	// Parallel caps the goroutines evaluating one TupleTreePattern's context
 	// nodes concurrently (<=1: sequential).
 	Parallel int

@@ -18,8 +18,9 @@ import (
 
 var singles = map[string]bool{"d": true, "input": true, "dot": true}
 
-// lower runs the full pipeline down to a physical plan.
-func lower(t *testing.T, q string, alg join.Algorithm) *Plan {
+// pipeline runs the logical compilation chain: parse, normalize, rewrite,
+// compile to the algebra and, when optimized is set, tree-pattern detection.
+func pipeline(t *testing.T, q string, optimized bool) algebra.Expr {
 	t.Helper()
 	e, err := parser.Parse(q)
 	if err != nil {
@@ -34,8 +35,16 @@ func lower(t *testing.T, q string, alg join.Algorithm) *Plan {
 	if err != nil {
 		t.Fatalf("compile %s: %v", q, err)
 	}
-	a = optimize.Optimize(a, optimize.Options{SingletonVars: singles})
-	p, err := Compile(a, alg)
+	if optimized {
+		a = optimize.Optimize(a, optimize.Options{SingletonVars: singles})
+	}
+	return a
+}
+
+// lower runs the full pipeline down to a physical plan.
+func lower(t *testing.T, q string, alg join.Algorithm) *Plan {
+	t.Helper()
+	p, err := Compile(pipeline(t, q, true), alg)
 	if err != nil {
 		t.Fatalf("lower %s: %v", q, err)
 	}

@@ -1,4 +1,4 @@
-package exec
+package physical
 
 import (
 	"container/list"
@@ -20,7 +20,7 @@ const DefaultPrepCacheSize = 4096
 
 // PrepCache memoizes join.Prepare results per (pattern, document,
 // algorithm): the compile-once piece of the serving path. A cache owned by a
-// compiled query and threaded into every engine that runs it makes repeated
+// compiled query and threaded into every Runtime that runs it makes repeated
 // Run calls skip pattern validation and stream resolution entirely.
 //
 // The cache is a bounded LRU: least-recently-used preparations are evicted
@@ -63,7 +63,7 @@ func NewPrepCacheSize(size int) *PrepCache {
 }
 
 // Prepared returns the cached prepared pattern, building and caching it on
-// first use (it implements physical.PrepSource). The preparation itself runs
+// first use. The preparation itself runs
 // outside the lock, so a large document's stream resolution never blocks
 // hits; concurrent misses on the same key may prepare twice, and the first
 // stored entry wins.

@@ -12,69 +12,14 @@ import (
 // structurally identical expressions and compile to identical plans.
 // Free variables keep their names.
 func Canonicalize(e core.Expr) core.Expr {
+	// Canonical names must not collide with free names; bound names are
+	// renamed anyway.
 	used := map[string]bool{}
-	freeVars(e, map[string]bool{}, used)
+	for _, v := range core.FreeVars(e) {
+		used[v] = true
+	}
 	c := &canonizer{used: used, rename: map[string]string{}}
 	return c.rw(e)
-}
-
-// freeVars collects variable names that occur free in e (canonical names
-// must not collide with those; bound names are renamed anyway).
-func freeVars(e core.Expr, bound map[string]bool, out map[string]bool) {
-	switch x := e.(type) {
-	case *core.Var:
-		if !bound[x.Name] {
-			out[x.Name] = true
-		}
-	case *core.For:
-		freeVars(x.In, bound, out)
-		restore := shadow(bound, x.Var, x.Pos)
-		if x.Where != nil {
-			freeVars(x.Where, bound, out)
-		}
-		freeVars(x.Return, bound, out)
-		restore()
-	case *core.Let:
-		freeVars(x.In, bound, out)
-		restore := shadow(bound, x.Var)
-		freeVars(x.Return, bound, out)
-		restore()
-	case *core.TypeSwitch:
-		freeVars(x.Input, bound, out)
-		for _, c := range x.Cases {
-			restore := shadow(bound, c.Var)
-			freeVars(c.Body, bound, out)
-			restore()
-		}
-		restore := shadow(bound, x.DefVar)
-		freeVars(x.Default, bound, out)
-		restore()
-	default:
-		for _, ch := range core.Children(e) {
-			freeVars(ch, bound, out)
-		}
-	}
-}
-
-// shadow temporarily marks names as bound and returns an undo function.
-func shadow(bound map[string]bool, names ...string) func() {
-	type saved struct {
-		name string
-		was  bool
-	}
-	var st []saved
-	for _, n := range names {
-		if n == "" {
-			continue
-		}
-		st = append(st, saved{n, bound[n]})
-		bound[n] = true
-	}
-	return func() {
-		for i := len(st) - 1; i >= 0; i-- {
-			bound[st[i].name] = st[i].was
-		}
-	}
 }
 
 type canonizer struct {

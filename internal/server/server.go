@@ -274,7 +274,7 @@ type queryRequest struct {
 	// Corpus names the target corpus; may be empty when exactly one corpus
 	// is registered.
 	Corpus string `json:"corpus"`
-	// Alg picks the tree-pattern algorithm: nl, sc, twig, stream, auto
+	// Alg picks the tree-pattern algorithm: nl, sc, twig, auto
 	// (default auto).
 	Alg string `json:"alg"`
 	// Workers caps this request's evaluation parallelism (default 1,

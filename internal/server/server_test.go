@@ -100,6 +100,7 @@ func TestHandleQueryValidation(t *testing.T) {
 		{"missing-query", http.MethodPost, `{}`, http.StatusBadRequest, "missing query"},
 		{"unknown-corpus", http.MethodPost, `{"query": "$input//a", "corpus": "nope"}`, http.StatusNotFound, `no corpus \"nope\"`},
 		{"bad-alg", http.MethodPost, `{"query": "$input//a", "alg": "quantum"}`, http.StatusBadRequest, "quantum"},
+		{"stream-alg", http.MethodPost, `{"query": "$input//a", "alg": "stream"}`, http.StatusBadRequest, "stream"},
 		{"bad-format", http.MethodPost, `{"query": "$input//a", "format": "csv"}`, http.StatusBadRequest, "csv"},
 		{"bad-timeout", http.MethodPost, `{"query": "$input//a", "timeout": "soon"}`, http.StatusBadRequest, "soon"},
 		{"compile-error", http.MethodPost, `{"query": "$input//person["}`, http.StatusBadRequest, ""},

@@ -1,6 +1,7 @@
 package xqtp
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -52,7 +53,7 @@ func TestPhysicalDifferentialCorpus(t *testing.T) {
 		{"xmark", NewXMarkDocument(7, 120)},
 		{"member", NewMemberDocument(7, 150_000)},
 	}
-	algs := []Algorithm{Staircase, Twig, Auto, Streaming}
+	algs := []Algorithm{Staircase, Twig, Auto}
 	for _, pq := range physicalDiffCorpus() {
 		q, err := Prepare(pq.Query)
 		if err != nil {
@@ -121,7 +122,7 @@ func TestPhysicalPlanConcurrentRuns(t *testing.T) {
 func TestExplainPhysicalAnnotations(t *testing.T) {
 	doc := NewXMarkDocument(3, 60)
 	q := MustPrepare(`$input//person[emailaddress]/name`)
-	fixed, err := q.ExplainPhysical(Staircase, nil)
+	fixed, err := q.ExplainPhysical(context.Background(), Staircase, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestExplainPhysicalAnnotations(t *testing.T) {
 			t.Errorf("ExplainPhysical(SC) missing %q:\n%s", want, fixed)
 		}
 	}
-	auto, err := q.ExplainPhysical(Auto, doc)
+	auto, err := q.ExplainPhysical(context.Background(), Auto, doc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,10 @@ type Sink = execctx.Sink
 // deadline, no budgets, sequential evaluation, and results collected into
 // the returned Sequence.
 type RunOptions struct {
-	// Workers caps the evaluation parallelism, as in RunParallel; <= 0
-	// means sequential for Query runs and GOMAXPROCS for Corpus runs
-	// (matching Run and RunParallel defaults).
+	// Workers caps the evaluation parallelism: the goroutines matching one
+	// pattern operator's context nodes for Query runs, the member fan-out
+	// for Corpus runs. <= 0 means sequential for Query runs and one worker
+	// per available CPU for Corpus runs.
 	Workers int
 	// Timeout, when positive, bounds the run's wall-clock time (applied on
 	// top of the caller's context).
@@ -77,8 +78,8 @@ type RunInfo struct {
 	// Rows and Bytes count the delivered result items and their estimated
 	// size (the quantities the budgets meter).
 	Rows, Bytes int64
-	// Members and Skipped mirror RunStats for corpus runs (zero for
-	// single-document runs).
+	// Members counts a corpus run's members and Skipped those the emptiness
+	// proof skipped without evaluation (both zero for single-document runs).
 	Members, Skipped int
 }
 
@@ -89,37 +90,6 @@ func normalizeWorkers(workers int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return workers
-}
-
-// RunCtx is Run under a context: the evaluation polls ctx at bounded
-// intervals and aborts with ErrCanceled (wrapping the context's cause) once
-// it is done. With a background context it is exactly Run.
-func (q *Query) RunCtx(ctx context.Context, doc *Document, alg Algorithm) (Sequence, error) {
-	if err := doc.closedErr(); err != nil {
-		return nil, err
-	}
-	p, err := q.physicalPlan(alg)
-	if err != nil {
-		return nil, err
-	}
-	rt := q.runtime(doc, 0)
-	rt.EC = execctx.From(ctx, 0, 0)
-	return p.Run(rt)
-}
-
-// RunParallelCtx is RunParallel under a context; workers <= 0 means one
-// worker per available CPU.
-func (q *Query) RunParallelCtx(ctx context.Context, doc *Document, alg Algorithm, workers int) (Sequence, error) {
-	if err := doc.closedErr(); err != nil {
-		return nil, err
-	}
-	p, err := q.physicalPlan(alg)
-	if err != nil {
-		return nil, err
-	}
-	rt := q.runtime(doc, normalizeWorkers(workers))
-	rt.EC = execctx.From(ctx, 0, 0)
-	return p.Run(rt)
 }
 
 // RunWith evaluates the query under a context with deadlines, budgets, and

@@ -44,7 +44,7 @@ type HTTPServeCell struct {
 	CacheHits   uint64  `json:"cache_hits"`
 }
 
-// ServeReport is the machine-readable output of RunServe.
+// ServeReport is the machine-readable output of RunServeReport.
 type ServeReport struct {
 	People        int      `json:"xmark_people"`
 	DocumentBytes int      `json:"document_bytes"`
@@ -116,25 +116,12 @@ func benchServe(doc *Document, queries []*Query, alg Algorithm, procs int) (test
 	return res, nil
 }
 
-// RunServe measures the compile-once/index-once serving path: concurrent
-// mixed XMark queries from cached plans against one shared document. The
-// cpus list gives the GOMAXPROCS settings to measure (nil measures one
-// processor and, when more are available, every processor). If jsonPath is
-// non-empty the report is also written there as JSON.
-func RunServe(w io.Writer, opts ExperimentOptions, jsonPath string, cpus []int) error {
-	report, err := RunServeReport(w, opts, cpus)
-	if err != nil {
-		return err
-	}
-	if jsonPath != "" {
-		return report.WriteJSON(w, jsonPath)
-	}
-	return nil
-}
-
-// RunServeReport is RunServe without the JSON write: it returns the report
-// so a caller (cmd/treebench) can append the HTTP serving cells before
-// serializing.
+// RunServeReport measures the compile-once/index-once serving path:
+// concurrent mixed XMark queries from cached plans against one shared
+// document. The cpus list gives the GOMAXPROCS settings to measure (nil
+// measures one processor and, when more are available, every processor).
+// It returns the report so a caller (cmd/treebench) can append the HTTP
+// serving cells before serializing it with WriteJSON.
 func RunServeReport(w io.Writer, opts ExperimentOptions, cpus []int) (*ServeReport, error) {
 	doc := NewXMarkDocument(opts.Seed, opts.Fig6People)
 	queries, srcs, err := serveQueries()

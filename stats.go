@@ -1,11 +1,11 @@
 package xqtp
 
-import "xqtp/internal/exec"
+import "xqtp/internal/physical"
 
 // PrepCacheStats is a snapshot of a prepared-join cache: the per-(pattern,
 // document, algorithm) join preparations a compiled query memoizes across
 // runs.
-type PrepCacheStats = exec.PrepCacheStats
+type PrepCacheStats = physical.PrepCacheStats
 
 // PrepStats returns the query's prepared-join cache counters.
 func (q *Query) PrepStats() PrepCacheStats { return q.preps.Stats() }
@@ -42,10 +42,4 @@ type ServerStats struct {
 // snapshot.
 func (c *PlanCache) ServerStats() ServerStats {
 	return ServerStats{Plan: c.Stats(), Prep: c.PrepStats()}
-}
-
-// DefaultServerStats returns the ServerStats of the process-wide plan cache
-// behind PrepareCached.
-func DefaultServerStats() ServerStats {
-	return defaultPlanCache.ServerStats()
 }

@@ -44,4 +44,19 @@ func TestPrepareTraced(t *testing.T) {
 	if err != nil || len(items) != 3 {
 		t.Errorf("traced query run: %d items, %v", len(items), err)
 	}
+	// Tracing only observes the pipeline: every phase compiles exactly as
+	// Prepare compiles it.
+	for _, pq := range physicalDiffCorpus() {
+		plain, err := Prepare(pq.Query)
+		if err != nil {
+			t.Fatalf("%s: %v", pq.Name, err)
+		}
+		traced, _, err := PrepareTraced(pq.Query)
+		if err != nil {
+			t.Fatalf("%s traced: %v", pq.Name, err)
+		}
+		if traced.Rewritten() != plain.Rewritten() || traced.UnoptimizedPlan() != plain.UnoptimizedPlan() || traced.Plan() != plain.Plan() {
+			t.Errorf("%s: traced compilation differs from Prepare:\n  %s\n  %s", pq.Name, traced.Plan(), plain.Plan())
+		}
+	}
 }

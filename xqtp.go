@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,7 +29,6 @@ import (
 	"xqtp/internal/ast"
 	"xqtp/internal/compile"
 	"xqtp/internal/core"
-	"xqtp/internal/exec"
 	"xqtp/internal/execctx"
 	"xqtp/internal/join"
 	"xqtp/internal/optimize"
@@ -73,7 +71,6 @@ const (
 	Staircase  = join.Staircase  // SCJoin: staircase join over region-encoded streams
 	Twig       = join.Twig       // TwigJoin: holistic twig join
 	Auto       = join.Auto       // per-pattern cost-based choice among the three
-	Streaming  = join.Streaming  // single-scan stack automaton for linear paths
 )
 
 // Algorithms lists all physical algorithms, in the paper's table order
@@ -81,7 +78,7 @@ const (
 var Algorithms = []Algorithm{NestedLoop, Twig, Staircase}
 
 // ParseAlgorithm resolves an algorithm name ("nl", "sc", "twig"/"tj",
-// "stream", "auto", …) as accepted by the command-line tools.
+// "auto", …) as accepted by the command-line tools.
 func ParseAlgorithm(name string) (Algorithm, error) {
 	return join.ParseAlgorithm(name)
 }
@@ -327,12 +324,11 @@ type Query struct {
 	rewritten core.Expr // TPNF′
 	plan      algebra.Expr
 	optimized algebra.Expr
-	freeVars  []string
 
 	// preps caches (pattern, document, algorithm) join preparations across
 	// runs of this query, so serving workloads resolve each pattern's tag
 	// streams once per document instead of once per Run call.
-	preps *exec.PrepCache
+	preps *physical.PrepCache
 	// phys memoizes the physical lowering of the optimized plan, one entry
 	// per algorithm: slots resolved, builtins bound, patterns annotated —
 	// compiled on first use and shared by every subsequent Run.
@@ -346,6 +342,14 @@ func Prepare(query string) (*Query, error) {
 
 // PrepareWithOptions compiles a query through all phases of Fig. 2.
 func PrepareWithOptions(query string, opts CompileOptions) (*Query, error) {
+	return prepare(query, opts, nil)
+}
+
+// prepare is the one compile pipeline behind every Prepare form: parse,
+// normalize, TPNF′ rewrite, compile to the algebra, and tree-pattern
+// detection. A non-nil tr records the state after every rewriting pass and
+// every algebraic rule application; with tr nil no trace hook is installed.
+func prepare(query string, opts CompileOptions, tr *Trace) (*Query, error) {
 	if opts.ContextVar == "" {
 		opts.ContextVar = "dot"
 	}
@@ -357,20 +361,33 @@ func PrepareWithOptions(query string, opts CompileOptions) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	free := freeVariables(normalized)
 	singletons := map[string]bool{}
-	for _, v := range free {
+	for _, v := range core.FreeVars(normalized) {
 		// Run binds every free variable to a single node, so the
 		// rewriter's singleton assumption is discharged by construction.
 		singletons[v] = true
 	}
+	rwOpts := rewrite.Options{SingletonVars: singletons}
+	optOpts := optimize.Options{
+		SingletonVars:          singletons,
+		DisablePositionalFirst: opts.DisablePositionalFirst,
+		DisableBulkConversion:  opts.DisableBulkConversion,
+	}
+	if tr != nil {
+		tr.Core = core.String(normalized)
+		rwOpts.Trace = tr.coreStep
+		optOpts.Trace = tr.planStep
+	}
 	rewritten := normalized
 	if opts.Rewrites {
-		rewritten = rewrite.Rewrite(normalized, rewrite.Options{SingletonVars: singletons})
+		rewritten = rewrite.Rewrite(normalized, rwOpts)
 	}
 	plan, err := compile.Compile(rewritten)
 	if err != nil {
 		return nil, err
+	}
+	if tr != nil {
+		tr.Plan = algebra.String(plan)
 	}
 	q := &Query{
 		Source:    query,
@@ -379,15 +396,10 @@ func PrepareWithOptions(query string, opts CompileOptions) (*Query, error) {
 		rewritten: rewritten,
 		plan:      plan,
 		optimized: plan,
-		freeVars:  free,
-		preps:     exec.NewPrepCache(),
+		preps:     physical.NewPrepCache(),
 	}
 	if opts.TreePatterns {
-		q.optimized = optimize.Optimize(plan, optimize.Options{
-			SingletonVars:          singletons,
-			DisablePositionalFirst: opts.DisablePositionalFirst,
-			DisableBulkConversion:  opts.DisableBulkConversion,
-		})
+		q.optimized = optimize.Optimize(plan, optOpts)
 	}
 	return q, nil
 }
@@ -450,20 +462,6 @@ func (q *Query) Run(doc *Document, alg Algorithm) (Sequence, error) {
 	return p.Run(q.runtime(doc, 0))
 }
 
-// RunParallel evaluates like Run but allows the TupleTreePattern operator
-// to match its context nodes on up to workers goroutines (<= 0: one worker
-// per available CPU). Results are identical to the sequential evaluation.
-func (q *Query) RunParallel(doc *Document, alg Algorithm, workers int) (Sequence, error) {
-	if err := doc.closedErr(); err != nil {
-		return nil, err
-	}
-	p, err := q.physicalPlan(alg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(q.runtime(doc, normalizeWorkers(workers)))
-}
-
 // RunWithVars evaluates the query with explicit variable bindings.
 func (q *Query) RunWithVars(doc *Document, alg Algorithm, vars map[string]Sequence) (Sequence, error) {
 	if err := doc.closedErr(); err != nil {
@@ -515,7 +513,7 @@ func (q *Query) Explain() string {
 	fmt.Fprintf(&b, "Rewritten (TPNF'):\n%s\n\n", indentLines(core.Pretty(q.rewritten)))
 	fmt.Fprintf(&b, "Compiled plan:\n%s\n", indentLines(algebra.Pretty(q.plan)))
 	fmt.Fprintf(&b, "Optimized plan:\n%s\n\n", indentLines(algebra.Pretty(q.optimized)))
-	if phys, err := q.ExplainPhysical(Staircase, nil); err != nil {
+	if phys, err := q.ExplainPhysical(context.Background(), Staircase, nil); err != nil {
 		fmt.Fprintf(&b, "Physical plan:\n  (error: %v)", err)
 	} else {
 		fmt.Fprintf(&b, "Physical plan:\n%s", indentLines(phys))
@@ -528,16 +526,17 @@ func (q *Query) Explain() string {
 // compiled to and each pattern operator's algorithm annotation. When doc is
 // non-nil and alg is Auto, every pattern line additionally records the
 // algorithm the cost model chooses for that document (evaluated from the
-// document root, the context the optimized plans feed their patterns).
-func (q *Query) ExplainPhysical(alg Algorithm, doc *Document) (string, error) {
-	return q.ExplainPhysicalCtx(context.Background(), alg, doc)
-}
-
-// ExplainPhysicalCtx is ExplainPhysical under a context: the per-step actual
-// cardinality evaluations (one full pattern run per spine step) poll ctx and
-// the explain aborts with ErrCanceled once it is done — these are the
-// expensive part of an Auto explain on a large document.
-func (q *Query) ExplainPhysicalCtx(ctx context.Context, alg Algorithm, doc *Document) (string, error) {
+// document root, the context the optimized plans feed their patterns) and,
+// per spine step, the estimated next to the actual cardinality. Those
+// actuals are full pattern runs — the expensive part of an Auto explain on a
+// large document — so they poll ctx, and the explain aborts with ErrCanceled
+// once it is done. A closed doc returns ErrClosed.
+func (q *Query) ExplainPhysical(ctx context.Context, alg Algorithm, doc *Document) (string, error) {
+	if doc != nil {
+		if err := doc.closedErr(); err != nil {
+			return "", err
+		}
+	}
 	p, err := q.physicalPlan(alg)
 	if err != nil {
 		return "", err
@@ -612,64 +611,6 @@ func indentLines(s string) string {
 		lines[i] = "  " + l
 	}
 	return strings.Join(lines, "\n")
-}
-
-// freeVariables collects the free variables of a core expression in sorted
-// order.
-func freeVariables(e core.Expr) []string {
-	set := map[string]bool{}
-	var walk func(core.Expr, map[string]bool)
-	walk = func(e core.Expr, bound map[string]bool) {
-		switch x := e.(type) {
-		case *core.Var:
-			if !bound[x.Name] {
-				set[x.Name] = true
-			}
-			return
-		case *core.For:
-			walk(x.In, bound)
-			b2 := withNames(bound, x.Var, x.Pos)
-			if x.Where != nil {
-				walk(x.Where, b2)
-			}
-			walk(x.Return, b2)
-			return
-		case *core.Let:
-			walk(x.In, bound)
-			walk(x.Return, withNames(bound, x.Var))
-			return
-		case *core.TypeSwitch:
-			walk(x.Input, bound)
-			for _, c := range x.Cases {
-				walk(c.Body, withNames(bound, c.Var))
-			}
-			walk(x.Default, withNames(bound, x.DefVar))
-			return
-		}
-		for _, c := range core.Children(e) {
-			walk(c, bound)
-		}
-	}
-	walk(e, map[string]bool{})
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func withNames(bound map[string]bool, names ...string) map[string]bool {
-	out := make(map[string]bool, len(bound)+len(names))
-	for k := range bound {
-		out[k] = true
-	}
-	for _, n := range names {
-		if n != "" {
-			out[n] = true
-		}
-	}
-	return out
 }
 
 // ItemString renders an item for display.
