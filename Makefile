@@ -76,7 +76,7 @@ fuzz-smoke:
 	$(GO) test ./internal/xmlstore -run FuzzScanVsStd -fuzz FuzzScanVsStd -fuzztime 30s
 	$(GO) test ./internal/xmlstore -run FuzzSnapshot -fuzz FuzzSnapshot -fuzztime 30s
 
-# Compare two treebench JSON reports (table1 or serve):
+# Compare two treebench JSON reports of the same experiment (any of them):
 #   make bench-compare OLD=BENCH_table1.json NEW=/tmp/new.json
 bench-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || \

@@ -42,10 +42,10 @@ func BenchmarkAblationBulkConversion(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, alg := range []Algorithm{NestedLoop, Twig, Staircase} {
-		b.Run(fmt.Sprintf("bulk/%s", shortAlg(alg)), func(b *testing.B) {
+		b.Run(fmt.Sprintf("bulk/%s", alg.Short()), func(b *testing.B) {
 			runQuery(b, bulk, doc, alg)
 		})
-		b.Run(fmt.Sprintf("per-tuple/%s", shortAlg(alg)), func(b *testing.B) {
+		b.Run(fmt.Sprintf("per-tuple/%s", alg.Short()), func(b *testing.B) {
 			runQuery(b, perTuple, doc, alg)
 		})
 	}

@@ -68,7 +68,7 @@ func BenchmarkTable1(b *testing.B) {
 		q := MustPrepare(pq.Query)
 		for _, alg := range []Algorithm{NestedLoop, Twig, Staircase} {
 			for _, sz := range sizes {
-				name := fmt.Sprintf("%s/%s/%.1fMB", pq.Name, shortAlg(alg), float64(sz)/1e6)
+				name := fmt.Sprintf("%s/%s/%.1fMB", pq.Name, alg.Short(), float64(sz)/1e6)
 				b.Run(name, func(b *testing.B) {
 					runQuery(b, q, memberDoc(b, sz), alg)
 				})
@@ -92,7 +92,7 @@ func BenchmarkFigure4(b *testing.B) {
 			runQuery(b, oldQ, doc, NestedLoop)
 		})
 		for _, alg := range []Algorithm{NestedLoop, Twig, Staircase} {
-			b.Run(fmt.Sprintf("ttp-%s/p%d", shortAlg(alg), people), func(b *testing.B) {
+			b.Run(fmt.Sprintf("ttp-%s/p%d", alg.Short(), people), func(b *testing.B) {
 				runQuery(b, newQ, doc, alg)
 			})
 		}
@@ -109,7 +109,7 @@ func BenchmarkFigure6(b *testing.B) {
 		} {
 			q := MustPrepare(form.src)
 			for _, alg := range []Algorithm{NestedLoop, Twig, Staircase} {
-				b.Run(fmt.Sprintf("%s/%s/%s", pair.Name, form.label, shortAlg(alg)), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/%s/%s", pair.Name, form.label, alg.Short()), func(b *testing.B) {
 					runQuery(b, q, doc, alg)
 				})
 			}
@@ -124,7 +124,7 @@ func BenchmarkSection53(b *testing.B) {
 	for _, k := range []int{5, 10, 15} {
 		q := MustPrepare(Section53Query(k))
 		for _, alg := range []Algorithm{NestedLoop, Twig, Staircase} {
-			b.Run(fmt.Sprintf("k%d/%s", k, shortAlg(alg)), func(b *testing.B) {
+			b.Run(fmt.Sprintf("k%d/%s", k, alg.Short()), func(b *testing.B) {
 				runQuery(b, q, doc, alg)
 			})
 		}

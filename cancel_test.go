@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"xqtp/internal/gen"
 )
 
 // cancelLatencyBound is the time a run may take to return after its context
@@ -35,7 +37,7 @@ var (
 func cancelTestCorpus(t *testing.T) *Corpus {
 	t.Helper()
 	cancelCorpusOnce.Do(func() {
-		cancelCorpus, cancelCorpusErr = LoadCorpus(collectionSources(1000, 7), 8)
+		cancelCorpus, cancelCorpusErr = LoadCorpus(gen.MixedCorpus(1000, 7), 8)
 	})
 	if cancelCorpusErr != nil {
 		t.Fatalf("building 1000-doc corpus: %v", cancelCorpusErr)

@@ -1,288 +1,167 @@
-// Command benchdiff compares two benchmark reports produced by treebench
-// (BENCH_table1.json or BENCH_serve.json) and prints the per-cell deltas.
-// It exits non-zero on malformed input or when the two files hold different
-// report kinds, so it can gate CI and Makefile comparisons.
+// Command benchdiff compares two benchmark reports written by treebench
+// -json (any experiment: BENCH_table1.json, BENCH_serve.json, ...) and
+// prints, for every cell, each metric's old→new value and its change. Cells
+// are matched by their label set; cells only in the new report are marked
+// new, and baseline cells missing from it are listed. It exits non-zero on
+// malformed input, when the two files hold different experiments, or when
+// the gate fails, so it can gate CI and Makefile comparisons.
 //
 // Usage:
 //
 //	benchdiff OLD.json NEW.json
 //	benchdiff -gate-ns 2 -gate-algs SC,TJ OLD.json NEW.json   # fail if the
-//	    median ns/op ratio over the named table1 algorithms regressed > 2%
+//	    median ns/op ratio over the cells labeled alg=SC or alg=TJ regressed
+//	    by more than 2%, or if any of those baseline cells is missing
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
 
-	"xqtp"
+	"xqtp/internal/bench"
 )
 
-// report is the union of the treebench report shapes; the populated slice
-// identifies the kind.
-type report struct {
-	Cells           []xqtp.Table1Cell     `json:"cells"`
-	Results         []xqtp.ServeResult    `json:"results"`
-	ServeCells      []xqtp.HTTPServeCell  `json:"serve_cells"`
-	IngestCells     []xqtp.IngestCell     `json:"ingest_cells"`
-	CollectionCells []xqtp.CollectionCell `json:"collection_cells"`
-	OptimizerCells  []xqtp.OptimizerCell  `json:"optimizer_cells"`
-	SnapshotCells   []xqtp.SnapshotCell   `json:"snapshot_cells"`
+// pair matches every old cell to the first not yet matched new cell with
+// the same label set: match[i] is the new index of old cell i, or -1 when
+// the new report lacks it.
+func pair(old, new *bench.Report) []int {
+	byKey := make(map[string][]int, len(new.Cells))
+	for j, c := range new.Cells {
+		k := c.Key()
+		byKey[k] = append(byKey[k], j)
+	}
+	match := make([]int, len(old.Cells))
+	for i, c := range old.Cells {
+		k := c.Key()
+		match[i] = -1
+		if js := byKey[k]; len(js) > 0 {
+			match[i], byKey[k] = js[0], js[1:]
+		}
+	}
+	return match
 }
 
-func load(path string) (report, error) {
-	var r report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
+// num renders a metric value: integers exactly, fractions to four
+// significant digits.
+func num(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return fmt.Sprintf("%.0f", v)
 	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(r.Cells) == 0 && len(r.Results) == 0 && len(r.ServeCells) == 0 &&
-		len(r.IngestCells) == 0 && len(r.CollectionCells) == 0 &&
-		len(r.OptimizerCells) == 0 && len(r.SnapshotCells) == 0 {
-		return r, fmt.Errorf("%s: no cells or results", path)
-	}
-	return r, nil
+	return fmt.Sprintf("%.4g", v)
 }
 
 func pct(old, new float64) string {
-	if old == 0 {
-		return "    n/a"
+	switch {
+	case old == new:
+		return "+0.0%"
+	case old == 0:
+		return "n/a"
 	}
-	return fmt.Sprintf("%+6.1f%%", (new-old)/old*100)
+	return fmt.Sprintf("%+.1f%%", (new-old)/old*100)
 }
 
-func diffTable1(old, new []xqtp.Table1Cell) {
-	type key struct {
-		query, alg string
-		bytes      int
+func sortedMetrics(cells ...bench.Cell) []string {
+	seen := map[string]bool{}
+	var names []string
+	for _, c := range cells {
+		for k := range c.Metrics {
+			if !seen[k] {
+				seen[k] = true
+				names = append(names, k)
+			}
+		}
 	}
-	prev := make(map[key]xqtp.Table1Cell, len(old))
-	for _, c := range old {
-		prev[key{c.Query, c.Algorithm, c.DocumentBytes}] = c
+	sort.Strings(names)
+	return names
+}
+
+// diff prints every cell of new with its metrics against the matching old
+// cell, then the baseline cells new lacks.
+func diff(w io.Writer, old, new *bench.Report, match []int) {
+	oldOf := make(map[int]int, len(match))
+	for i, j := range match {
+		if j >= 0 {
+			oldOf[j] = i
+		}
 	}
-	fmt.Printf("%-6s %-5s %-10s %22s %22s %20s\n",
-		"query", "alg", "doc", "ns/op old→new", "B/op old→new", "allocs old→new")
-	for _, c := range new {
-		o, ok := prev[key{c.Query, c.Algorithm, c.DocumentBytes}]
+	fresh := 0
+	for j, nc := range new.Cells {
+		i, ok := oldOf[j]
 		if !ok {
-			fmt.Printf("%-6s %-5s %-10.1fMB  (new cell)\n", c.Query, c.Algorithm, float64(c.DocumentBytes)/1e6)
+			fresh++
+			fmt.Fprintf(w, "%s  (new cell)\n", nc.Key())
 			continue
 		}
-		fmt.Printf("%-6s %-5s %-10s %9.0f→%-9.0f %s %8d→%-8d %s %6d→%-6d %s\n",
-			c.Query, c.Algorithm, fmt.Sprintf("%.1fMB", float64(c.DocumentBytes)/1e6),
-			o.NsPerOp, c.NsPerOp, pct(o.NsPerOp, c.NsPerOp),
-			o.BytesPerOp, c.BytesPerOp, pct(float64(o.BytesPerOp), float64(c.BytesPerOp)),
-			o.AllocsPerOp, c.AllocsPerOp, pct(float64(o.AllocsPerOp), float64(c.AllocsPerOp)))
+		oc := old.Cells[i]
+		fmt.Fprintln(w, nc.Key())
+		for _, m := range sortedMetrics(oc, nc) {
+			ov, inOld := oc.Metrics[m]
+			nv, inNew := nc.Metrics[m]
+			switch {
+			case !inOld:
+				fmt.Fprintf(w, "    %-18s %14s → %-14s (new metric)\n", m, "", num(nv))
+			case !inNew:
+				fmt.Fprintf(w, "    %-18s %14s → %-14s (missing)\n", m, num(ov), "")
+			default:
+				fmt.Fprintf(w, "    %-18s %14s → %-14s %8s\n", m, num(ov), num(nv), pct(ov, nv))
+			}
+		}
 	}
+	missing := 0
+	for i, j := range match {
+		if j < 0 {
+			missing++
+			fmt.Fprintf(w, "%s  (missing from new report)\n", old.Cells[i].Key())
+		}
+	}
+	fmt.Fprintf(w, "\n%d cells matched, %d new, %d missing\n", len(match)-missing, fresh, missing)
 }
 
-func diffServe(old, new []xqtp.ServeResult) {
-	type key struct {
-		alg   string
-		procs int
-	}
-	prev := make(map[key]xqtp.ServeResult, len(old))
-	for _, r := range old {
-		prev[key{r.Algorithm, r.Procs}] = r
-	}
-	fmt.Printf("%-6s %-6s %22s %22s %20s\n",
-		"alg", "procs", "qps old→new", "B/op old→new", "allocs old→new")
-	for _, r := range new {
-		o, ok := prev[key{r.Algorithm, r.Procs}]
-		if !ok {
-			fmt.Printf("%-6s %-6d (new row)\n", r.Algorithm, r.Procs)
-			continue
-		}
-		fmt.Printf("%-6s %-6d %9.0f→%-9.0f %s %8d→%-8d %s %6d→%-6d %s\n",
-			r.Algorithm, r.Procs,
-			o.QPS, r.QPS, pct(o.QPS, r.QPS),
-			o.BytesPerOp, r.BytesPerOp, pct(float64(o.BytesPerOp), float64(r.BytesPerOp)),
-			o.AllocsPerOp, r.AllocsPerOp, pct(float64(o.AllocsPerOp), float64(r.AllocsPerOp)))
-	}
-}
-
-// diffServeHTTP compares the network-tier rows of two serve reports: QPS,
-// tail latency, and the shed count (which should stay zero — the load
-// generator sizes admission to its client count).
-func diffServeHTTP(old, new []xqtp.HTTPServeCell) {
-	type key struct {
-		alg     string
-		clients int
-		cache   string
-	}
-	prev := make(map[key]xqtp.HTTPServeCell, len(old))
-	for _, c := range old {
-		prev[key{c.Algorithm, c.Clients, c.ResultCache}] = c
-	}
-	fmt.Printf("\nHTTP serving tier (serve_cells)\n")
-	fmt.Printf("%-6s %-8s %-6s %22s %22s %22s %12s\n",
-		"alg", "clients", "cache", "qps old→new", "p50ms old→new", "p99ms old→new", "shed old→new")
-	for _, c := range new {
-		o, ok := prev[key{c.Algorithm, c.Clients, c.ResultCache}]
-		if !ok {
-			fmt.Printf("%-6s %-8d %-6s (new cell)\n", c.Algorithm, c.Clients, c.ResultCache)
-			continue
-		}
-		fmt.Printf("%-6s %-8d %-6s %9.0f→%-9.0f %s %8.2f→%-8.2f %s %8.2f→%-8.2f %s %4d→%-4d\n",
-			c.Algorithm, c.Clients, c.ResultCache,
-			o.QPS, c.QPS, pct(o.QPS, c.QPS),
-			o.P50Ms, c.P50Ms, pct(o.P50Ms, c.P50Ms),
-			o.P99Ms, c.P99Ms, pct(o.P99Ms, c.P99Ms),
-			o.Shed, c.Shed)
-	}
-}
-
-func diffIngest(old, new []xqtp.IngestCell) {
-	type key struct {
-		doc, parser string
-	}
-	prev := make(map[key]xqtp.IngestCell, len(old))
-	for _, c := range old {
-		prev[key{c.Document, c.Parser}] = c
-	}
-	fmt.Printf("%-16s %-6s %22s %22s %20s\n",
-		"document", "parser", "MB/s old→new", "B/op old→new", "allocs old→new")
-	for _, c := range new {
-		o, ok := prev[key{c.Document, c.Parser}]
-		if !ok {
-			fmt.Printf("%-16s %-6s (new cell)\n", c.Document, c.Parser)
-			continue
-		}
-		fmt.Printf("%-16s %-6s %9.1f→%-9.1f %s %8d→%-8d %s %6d→%-6d %s\n",
-			c.Document, c.Parser,
-			o.MBPerSec, c.MBPerSec, pct(o.MBPerSec, c.MBPerSec),
-			o.BytesPerOp, c.BytesPerOp, pct(float64(o.BytesPerOp), float64(c.BytesPerOp)),
-			o.AllocsPerOp, c.AllocsPerOp, pct(float64(o.AllocsPerOp), float64(c.AllocsPerOp)))
-	}
-}
-
-func diffCollection(old, new []xqtp.CollectionCell) {
-	type key struct {
-		phase, query string
-		docs, work   int
-	}
-	prev := make(map[key]xqtp.CollectionCell, len(old))
-	for _, c := range old {
-		prev[key{c.Phase, c.Query, c.Docs, c.Workers}] = c
-	}
-	fmt.Printf("%-14s %-16s %-6s %-7s %24s %22s %20s\n",
-		"phase", "query", "docs", "workers", "MB/s|qps old→new", "B/op old→new", "allocs old→new")
-	for _, c := range new {
-		o, ok := prev[key{c.Phase, c.Query, c.Docs, c.Workers}]
-		if !ok {
-			fmt.Printf("%-14s %-16s %-6d %-7d (new cell)\n", c.Phase, c.Query, c.Docs, c.Workers)
-			continue
-		}
-		// The throughput column is MB/s for the ingest and snapshot-save/load
-		// rows (all normalized to the corpus's XML size, so they compare
-		// against each other), QPS for query rows.
-		oRate, nRate := o.MBPerSec, c.MBPerSec
-		if c.Phase == "query" {
-			oRate, nRate = o.QPS, c.QPS
-		}
-		fmt.Printf("%-14s %-16s %-6d %-7d %10.1f→%-10.1f %s %8d→%-8d %s %6d→%-6d %s\n",
-			c.Phase, c.Query, c.Docs, c.Workers,
-			oRate, nRate, pct(oRate, nRate),
-			o.BytesPerOp, c.BytesPerOp, pct(float64(o.BytesPerOp), float64(c.BytesPerOp)),
-			o.AllocsPerOp, c.AllocsPerOp, pct(float64(o.AllocsPerOp), float64(c.AllocsPerOp)))
-	}
-}
-
-func diffOptimizer(old, new []xqtp.OptimizerCell) {
-	type key struct {
-		kind, query, doc, step string
-		members                int
-	}
-	prev := make(map[key]xqtp.OptimizerCell, len(old))
-	for _, c := range old {
-		prev[key{c.Kind, c.Query, c.Doc, c.Step, c.Members}] = c
-	}
-	fmt.Printf("%-6s %-16s %-40s %20s %18s %20s\n",
-		"query", "doc", "step", "q-err old→new", "act old→new", "skipped old→new")
-	for _, c := range new {
-		o, ok := prev[key{c.Kind, c.Query, c.Doc, c.Step, c.Members}]
-		if !ok {
-			fmt.Printf("%-6s %-16s %-40s (new cell)\n", c.Query, c.Doc, c.Step)
-			continue
-		}
-		if c.Kind == "skip" {
-			fmt.Printf("%-6s %-16s %-40s %20s %18s %8d→%-8d %s\n",
-				c.Query, fmt.Sprintf("corpus-%d", c.Members), "", "", "",
-				o.Skipped, c.Skipped, pct(float64(o.Skipped), float64(c.Skipped)))
-			continue
-		}
-		fmt.Printf("%-6s %-16s %-40s %8.2f→%-8.2f %s %6d→%-6d %s\n",
-			c.Query, c.Doc, c.Step,
-			o.QError, c.QError, pct(o.QError, c.QError),
-			o.Act, c.Act, pct(float64(o.Act), float64(c.Act)))
-	}
-}
-
-func diffSnapshot(old, new []xqtp.SnapshotCell) {
-	type key struct {
-		phase, mode string
-		docs        int
-	}
-	prev := make(map[key]xqtp.SnapshotCell, len(old))
-	for _, c := range old {
-		prev[key{c.Phase, c.Mode, c.Docs}] = c
-	}
-	fmt.Printf("%-12s %-8s %-6s %24s %26s %20s\n",
-		"phase", "mode", "docs", "ms/op old→new", "resident old→new", "allocs old→new")
-	for _, c := range new {
-		o, ok := prev[key{c.Phase, c.Mode, c.Docs}]
-		if !ok {
-			fmt.Printf("%-12s %-8s %-6d (new cell)\n", c.Phase, c.Mode, c.Docs)
-			continue
-		}
-		fmt.Printf("%-12s %-8s %-6d %8.3f→%-8.3f %s %10d→%-10d %s %6d→%-6d %s\n",
-			c.Phase, c.Mode, c.Docs,
-			o.NsPerOp/1e6, c.NsPerOp/1e6, pct(o.NsPerOp, c.NsPerOp),
-			o.ResidentBytes, c.ResidentBytes, pct(float64(o.ResidentBytes), float64(c.ResidentBytes)),
-			o.AllocsPerOp, c.AllocsPerOp, pct(float64(o.AllocsPerOp), float64(c.AllocsPerOp)))
-	}
-}
-
-// gateTable1 computes the median new/old ns/op ratio over the table1 cells
-// whose algorithm is in algs (empty: every cell), and fails when the median
-// regressed by more than pct percent. The median — not the mean or the max —
-// keeps one noisy cell from failing a run while still catching a systematic
-// slowdown across the matrix.
-func gateTable1(old, new []xqtp.Table1Cell, pct float64, algs map[string]bool) error {
-	type key struct {
-		query, alg string
-		bytes      int
-	}
-	prev := make(map[key]xqtp.Table1Cell, len(old))
-	for _, c := range old {
-		prev[key{c.Query, c.Algorithm, c.DocumentBytes}] = c
-	}
+// gate computes the median new/old ns_per_op ratio over the baseline cells
+// whose alg label is in algs (empty: every cell with an ns_per_op metric)
+// and fails when the median regressed by more than pct percent, or when any
+// of those baseline cells has no counterpart in the new report. The median
+// — not the mean or the max — keeps one noisy cell from failing a run while
+// still catching a systematic slowdown across the matrix.
+func gate(w io.Writer, old, new *bench.Report, match []int, pct float64, algs map[string]bool) error {
 	var ratios []float64
-	for _, c := range new {
-		if len(algs) > 0 && !algs[strings.ToUpper(c.Algorithm)] {
+	var missing []string
+	for i, oc := range old.Cells {
+		if len(algs) > 0 && !algs[strings.ToUpper(oc.Labels["alg"])] {
 			continue
 		}
-		o, ok := prev[key{c.Query, c.Algorithm, c.DocumentBytes}]
-		if !ok || o.NsPerOp == 0 {
+		o, ok := oc.Metrics["ns_per_op"]
+		if !ok || o == 0 {
 			continue
 		}
-		ratios = append(ratios, c.NsPerOp/o.NsPerOp)
+		n, found := 0.0, false
+		if j := match[i]; j >= 0 {
+			n, found = new.Cells[j].Metrics["ns_per_op"]
+		}
+		if !found {
+			missing = append(missing, oc.Key())
+			continue
+		}
+		ratios = append(ratios, n/o)
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("gate: %d gated baseline cells missing from the new report (first: %s)",
+			len(missing), missing[0])
 	}
 	if len(ratios) == 0 {
-		return fmt.Errorf("gate: no comparable table1 cells for the selected algorithms")
+		return fmt.Errorf("gate: no comparable ns_per_op cells for the selected algorithms")
 	}
 	sort.Float64s(ratios)
 	median := ratios[len(ratios)/2]
 	if len(ratios)%2 == 0 {
 		median = (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
 	}
-	fmt.Printf("\ngate: median ns/op ratio %.4f over %d cells (threshold %.4f)\n",
+	fmt.Fprintf(w, "\ngate: median ns/op ratio %.4f over %d cells (threshold %.4f)\n",
 		median, len(ratios), 1+pct/100)
 	if median > 1+pct/100 {
 		return fmt.Errorf("gate: median ns/op regressed %.1f%% (> %.1f%% allowed)",
@@ -291,9 +170,37 @@ func gateTable1(old, new []xqtp.Table1Cell, pct float64, algs map[string]bool) e
 	return nil
 }
 
+// run loads both reports, prints the diff and applies the gate when
+// gateNs > 0.
+func run(w io.Writer, oldPath, newPath string, gateNs float64, gateAlgs string) error {
+	old, err := bench.ReadReport(oldPath)
+	if err != nil {
+		return err
+	}
+	new, err := bench.ReadReport(newPath)
+	if err != nil {
+		return err
+	}
+	if old.Exp != new.Exp {
+		return fmt.Errorf("reports are of different experiments (%s vs %s)", old.Exp, new.Exp)
+	}
+	match := pair(old, new)
+	diff(w, old, new, match)
+	if gateNs <= 0 {
+		return nil
+	}
+	algs := map[string]bool{}
+	for _, a := range strings.Split(gateAlgs, ",") {
+		if a = strings.ToUpper(strings.TrimSpace(a)); a != "" {
+			algs[a] = true
+		}
+	}
+	return gate(w, old, new, match, gateNs, algs)
+}
+
 func main() {
-	gateNs := flag.Float64("gate-ns", 0, "fail when the median table1 ns/op regression exceeds this percentage (0: report only)")
-	gateAlgs := flag.String("gate-algs", "", "comma-separated algorithm labels the gate considers (e.g. SC,TJ; empty: all)")
+	gateNs := flag.Float64("gate-ns", 0, "fail when the median ns_per_op regression exceeds this percentage (0: report only)")
+	gateAlgs := flag.String("gate-algs", "", "comma-separated alg labels the gate considers (e.g. SC,TJ; empty: all)")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-gate-ns PCT [-gate-algs SC,TJ]] OLD.json NEW.json")
 		flag.PrintDefaults()
@@ -303,46 +210,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	algs := map[string]bool{}
-	for _, a := range strings.Split(*gateAlgs, ",") {
-		if a = strings.ToUpper(strings.TrimSpace(a)); a != "" {
-			algs[a] = true
-		}
-	}
-	oldR, err := load(flag.Arg(0))
-	if err == nil {
-		var newR report
-		if newR, err = load(flag.Arg(1)); err == nil {
-			switch {
-			case len(oldR.Cells) > 0 && len(newR.Cells) > 0:
-				diffTable1(oldR.Cells, newR.Cells)
-				if *gateNs > 0 {
-					err = gateTable1(oldR.Cells, newR.Cells, *gateNs, algs)
-				}
-			case len(oldR.Results) > 0 && len(newR.Results) > 0:
-				diffServe(oldR.Results, newR.Results)
-				if len(oldR.ServeCells) > 0 || len(newR.ServeCells) > 0 {
-					diffServeHTTP(oldR.ServeCells, newR.ServeCells)
-				}
-			case len(oldR.ServeCells) > 0 && len(newR.ServeCells) > 0:
-				diffServeHTTP(oldR.ServeCells, newR.ServeCells)
-			case len(oldR.IngestCells) > 0 && len(newR.IngestCells) > 0:
-				diffIngest(oldR.IngestCells, newR.IngestCells)
-			case len(oldR.CollectionCells) > 0 && len(newR.CollectionCells) > 0:
-				diffCollection(oldR.CollectionCells, newR.CollectionCells)
-			case len(oldR.OptimizerCells) > 0 && len(newR.OptimizerCells) > 0:
-				diffOptimizer(oldR.OptimizerCells, newR.OptimizerCells)
-			case len(oldR.SnapshotCells) > 0 && len(newR.SnapshotCells) > 0:
-				diffSnapshot(oldR.SnapshotCells, newR.SnapshotCells)
-			default:
-				err = fmt.Errorf("reports are of different kinds")
-			}
-			if err == nil && *gateNs > 0 && len(oldR.Cells) == 0 {
-				err = fmt.Errorf("-gate-ns only applies to table1 reports")
-			}
-		}
-	}
-	if err != nil {
+	if err := run(os.Stdout, flag.Arg(0), flag.Arg(1), *gateNs, *gateAlgs); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(1)
 	}

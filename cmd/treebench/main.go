@@ -1,6 +1,8 @@
 // Command treebench regenerates the paper's evaluation: the §5.1 plan
 // validation, Fig. 4, Table 1 (QE1–QE6), Fig. 6, and the §5.3 positional
-// chains, printing the same rows and series the paper reports.
+// chains, printing the same rows and series the paper reports, plus the
+// serving, ingest, corpus, optimizer and snapshot experiments. Experiments
+// with a report write it with -json in the one schema cmd/benchdiff reads.
 //
 // Usage:
 //
@@ -13,6 +15,9 @@
 //	treebench -exp collection -json BENCH_collection.json  # corpus ingest MB/s + fan-out QPS
 //	treebench -exp optimizer -json BENCH_optimizer.json  # cost-model est vs act + member skips
 //	treebench -exp snapshot -json BENCH_snapshot.json  # mmap cold open + paging vs read-all
+//
+// A per-experiment flag (-json, -algs, -cpus, -clients) given to an
+// experiment that does not read it is an error (exit 2).
 package main
 
 import (
@@ -24,15 +29,71 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"xqtp"
-	"xqtp/internal/server"
+	"xqtp/internal/bench"
 )
+
+// experiment is one -exp value: its driver and the per-experiment flags it
+// reads. Drivers without a report return nil.
+type experiment struct {
+	run   func(io.Writer, bench.Options) (*bench.Report, error)
+	flags []string
+}
+
+func noReport(f func(io.Writer, bench.Options) error) func(io.Writer, bench.Options) (*bench.Report, error) {
+	return func(w io.Writer, o bench.Options) (*bench.Report, error) { return nil, f(w, o) }
+}
+
+var experiments = map[string]experiment{
+	"validate":   {run: noReport(func(w io.Writer, _ bench.Options) error { return bench.Validation(w) })},
+	"fig4":       {run: noReport(bench.Figure4)},
+	"table1":     {run: bench.Table1, flags: []string{"json", "algs"}},
+	"fig6":       {run: noReport(bench.Figure6), flags: []string{"algs"}},
+	"sec53":      {run: noReport(bench.Section53)},
+	"serve":      {run: bench.Serve, flags: []string{"json", "cpus", "clients"}},
+	"ingest":     {run: bench.Ingest, flags: []string{"json"}},
+	"collection": {run: bench.Collection, flags: []string{"json"}},
+	"optimizer":  {run: bench.Optimizer, flags: []string{"json"}},
+	"snapshot":   {run: bench.Snapshot, flags: []string{"json"}},
+	"all":        {run: noReport(bench.All), flags: []string{"algs"}},
+}
+
+// perExperimentFlags are the flags only some experiments read.
+var perExperimentFlags = []string{"json", "algs", "cpus", "clients"}
+
+// checkFlags rejects a per-experiment flag that was set for an experiment
+// that does not read it, instead of silently ignoring it.
+func checkFlags(exp string, e experiment, set map[string]bool) error {
+	for _, name := range perExperimentFlags {
+		if set[name] && !slices.Contains(e.flags, name) {
+			return fmt.Errorf("-%s is not read by -exp %s", name, exp)
+		}
+	}
+	return nil
+}
+
+// parseCounts parses a comma-separated list of positive integers.
+func parseCounts(flagName, s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad -%s entry %q", flagName, part)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "treebench:", err)
+	os.Exit(2)
+}
 
 func main() {
 	var (
@@ -40,22 +101,47 @@ func main() {
 		quick    = flag.Bool("quick", false, "reduced document sizes for a fast run")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		repeats  = flag.Int("repeats", 3, "timed runs per measurement (median reported)")
-		jsonPath = flag.String("json", "", "write the report as JSON to this file (table1 and serve)")
+		jsonPath = flag.String("json", "", "write the report as JSON to this file (table1, serve, ingest, collection, optimizer, snapshot)")
 		cpusFlag = flag.String("cpus", "", "comma-separated GOMAXPROCS settings to measure (serve only, e.g. 1,2,4)")
 		clients  = flag.String("clients", "", "comma-separated HTTP client counts for the serve experiment (default 1,4,16; quick 1,4)")
-		algsFlag = flag.String("algs", "", "comma-separated algorithms for table1/fig6 (nl, sc, twig, auto; default nl,twig,sc)")
+		algsFlag = flag.String("algs", "", "comma-separated algorithms for table1/fig6/all (nl, sc, twig, auto; default nl,twig,sc)")
 	)
 	flag.Parse()
 
-	var cpus []int
+	e, ok := experiments[*exp]
+	if !ok {
+		usageError(fmt.Errorf("unknown experiment %q", *exp))
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(*exp, e, set); err != nil {
+		usageError(err)
+	}
+
+	opts := bench.DefaultOptions()
+	if *quick {
+		opts = bench.QuickOptions()
+	}
+	opts.Seed = *seed
+	opts.Repeats = *repeats
+	var err error
 	if *cpusFlag != "" {
-		for _, part := range strings.Split(*cpusFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "treebench: bad -cpus entry %q\n", part)
-				os.Exit(2)
+		if opts.Procs, err = parseCounts("cpus", *cpusFlag); err != nil {
+			usageError(err)
+		}
+	}
+	if *clients != "" {
+		if opts.Load.Clients, err = parseCounts("clients", *clients); err != nil {
+			usageError(err)
+		}
+	}
+	if *algsFlag != "" {
+		for _, part := range strings.Split(*algsFlag, ",") {
+			alg, err := xqtp.ParseAlgorithm(strings.TrimSpace(part))
+			if err != nil {
+				usageError(err)
 			}
-			cpus = append(cpus, n)
+			opts.Algorithms = append(opts.Algorithms, alg)
 		}
 	}
 
@@ -64,55 +150,15 @@ func main() {
 	// interrupt (after ctx is done) kills the process the usual way.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	opts := xqtp.DefaultExperimentOptions()
-	if *quick {
-		opts = xqtp.QuickExperimentOptions()
-	}
-	opts.Seed = *seed
-	opts.Repeats = *repeats
 	opts.Context = ctx
-	if *algsFlag != "" {
-		for _, part := range strings.Split(*algsFlag, ",") {
-			alg, err := xqtp.ParseAlgorithm(strings.TrimSpace(part))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "treebench: %v\n", err)
-				os.Exit(2)
-			}
-			opts.Algorithms = append(opts.Algorithms, alg)
-		}
-	}
 
 	w := bufio.NewWriter(os.Stdout)
 	defer w.Flush()
-
-	var err error
-	switch *exp {
-	case "validate":
-		err = xqtp.RunValidation(w)
-	case "fig4":
-		err = xqtp.RunFigure4(w, opts)
-	case "table1":
-		err = xqtp.RunTable1(w, opts, *jsonPath)
-	case "fig6":
-		err = xqtp.RunFigure6(w, opts)
-	case "sec53":
-		err = xqtp.RunSection53(w, opts)
-	case "serve":
-		err = runServeWithHTTP(w, opts, *jsonPath, cpus, *clients, *quick)
-	case "ingest":
-		err = xqtp.RunIngest(w, opts, *jsonPath)
-	case "collection":
-		err = xqtp.RunCollection(w, opts, *jsonPath)
-	case "optimizer":
-		err = xqtp.RunOptimizer(w, opts, *jsonPath)
-	case "snapshot":
-		err = xqtp.RunSnapshot(w, opts, *jsonPath)
-	case "all":
-		err = xqtp.RunAll(w, opts)
-	default:
-		fmt.Fprintf(os.Stderr, "treebench: unknown experiment %q\n", *exp)
-		os.Exit(2)
+	report, err := e.run(w, opts)
+	if err == nil && *jsonPath != "" {
+		if err = report.WriteFile(*jsonPath); err == nil {
+			fmt.Fprintf(w, "(report written to %s)\n", *jsonPath)
+		}
 	}
 	if err != nil {
 		w.Flush()
@@ -123,53 +169,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "treebench:", err)
 		os.Exit(1)
 	}
-}
-
-// runServeWithHTTP runs the in-process serving sweep, then drives the real
-// HTTP serving tier (internal/server on a loopback listener) with closed-loop
-// clients and merges those cells into the same report before writing JSON.
-func runServeWithHTTP(w io.Writer, opts xqtp.ExperimentOptions, jsonPath string, cpus []int, clientsFlag string, quick bool) error {
-	report, err := xqtp.RunServeReport(w, opts, cpus)
-	if err != nil {
-		return err
-	}
-
-	clientCounts := []int{1, 4, 16}
-	people := 100
-	cellDur := 2 * time.Second
-	if quick {
-		clientCounts = []int{1, 4}
-		people = 25
-		cellDur = 400 * time.Millisecond
-	}
-	if clientsFlag != "" {
-		clientCounts = clientCounts[:0]
-		for _, part := range strings.Split(clientsFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad -clients entry %q", part)
-			}
-			clientCounts = append(clientCounts, n)
-		}
-	}
-
-	cells, err := server.RunHTTPLoad(w, server.LoadOptions{
-		Seed:         opts.Seed,
-		People:       people,
-		Clients:      clientCounts,
-		CellDuration: cellDur,
-		Context:      opts.Context,
-	})
-	if err != nil {
-		return err
-	}
-	report.HTTPCells = cells
-	if runtime.NumCPU() == 1 {
-		report.Note += "; serve_cells rows with clients > 1 time-share a single core, so their qps bounds overhead, not scaling"
-	}
-
-	if jsonPath != "" {
-		return report.WriteJSON(w, jsonPath)
-	}
-	return nil
 }

@@ -17,10 +17,7 @@ var ErrClosed = collection.ErrClosed
 
 // CorpusSource is one document for corpus ingest: its URI and, optionally,
 // its content. Nil Data means the URI is a file path to read during ingest.
-type CorpusSource struct {
-	URI  string
-	Data []byte
-}
+type CorpusSource = collection.Source
 
 // Corpus is an immutable collection of documents behind one query surface:
 // ingest parses the members concurrently, and Run fans a compiled query out
@@ -45,7 +42,7 @@ func LoadCorpusFiles(paths []string, workers int) (*Corpus, error) {
 // LoadCorpus ingests in-memory or file-backed sources on a bounded worker
 // pool. As with LoadXMLBytes, the corpus takes ownership of the data slices.
 func LoadCorpus(sources []CorpusSource, workers int) (*Corpus, error) {
-	c, err := collection.Ingest(internalSources(sources), workers)
+	c, err := collection.Ingest(sources, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +53,7 @@ func LoadCorpus(sources []CorpusSource, workers int) (*Corpus, error) {
 // existing members followed by the new ones. The receiver is unchanged, so
 // queries running against it concurrently are unaffected.
 func (c *Corpus) Extend(sources []CorpusSource, workers int) (*Corpus, error) {
-	grown, err := c.c.Extend(internalSources(sources), workers)
+	grown, err := c.c.Extend(sources, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -132,14 +129,6 @@ func (c *Corpus) SnapshotResident() (int64, bool) {
 		return 0, false
 	}
 	return m.Resident()
-}
-
-func internalSources(sources []CorpusSource) []collection.Source {
-	out := make([]collection.Source, len(sources))
-	for i, s := range sources {
-		out[i] = collection.Source{URI: s.URI, Data: s.Data}
-	}
-	return out
 }
 
 // Len returns the number of member documents.

@@ -27,7 +27,7 @@ func genCorpusSources(n int, seed int64) []CorpusSource {
 		}
 		out[i] = CorpusSource{
 			URI:  fmt.Sprintf("mem://corpus-%03d.xml", i),
-			Data: generatedXML(root, 0),
+			Data: gen.XML(root, 0),
 		}
 	}
 	return out

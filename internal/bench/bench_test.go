@@ -1,4 +1,4 @@
-package xqtp
+package bench
 
 import (
 	"strings"
@@ -13,9 +13,8 @@ func TestExperimentsSmoke(t *testing.T) {
 		t.Skip("short mode")
 	}
 	var b strings.Builder
-	opts := QuickExperimentOptions()
-	if err := RunAll(&b, opts); err != nil {
-		t.Fatalf("RunAll: %v\noutput so far:\n%s", err, b.String())
+	if err := All(&b, QuickOptions()); err != nil {
+		t.Fatalf("All: %v\noutput so far:\n%s", err, b.String())
 	}
 	out := b.String()
 	for _, want := range []string{
@@ -31,7 +30,7 @@ func TestExperimentsSmoke(t *testing.T) {
 
 func TestValidationPasses(t *testing.T) {
 	var b strings.Builder
-	if err := RunValidation(&b); err != nil {
+	if err := Validation(&b); err != nil {
 		t.Fatalf("%v\n%s", err, b.String())
 	}
 }

@@ -1,4 +1,4 @@
-package server
+package bench
 
 import (
 	"bytes"
@@ -8,57 +8,47 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"xqtp"
+	"xqtp/internal/server"
 )
 
-// LoadOptions configures RunHTTPLoad, the closed-loop HTTP serving
-// benchmark behind `treebench -exp serve`.
+// LoadOptions shapes the HTTP rows of the serve experiment.
 type LoadOptions struct {
-	// Seed and People shape the single-member XMark corpus the server loads.
-	Seed   int64
+	// People scales the single-member XMark corpus the server loads.
 	People int
 	// Clients are the concurrency levels to sweep (closed loop: each client
 	// has exactly one request outstanding).
 	Clients []int
-	// Algorithms names the algorithms measured with the result cache off.
-	Algorithms []string
 	// CellDuration is the measured window per cell after warmup.
 	CellDuration time.Duration
-	// Context aborts the sweep between cells.
-	Context context.Context
 }
 
-// RunHTTPLoad measures the network serving tier end to end: it starts the
-// real *Server on a loopback listener, then drives it with closed-loop HTTP
-// clients issuing the Fig. 6 child-form XMark queries round-robin as POST
-// /query NDJSON requests. Each cell fixes (algorithm, client count) with the
-// result cache off; one final cell repeats the largest client count with the
-// cache on, bounding what the cache is worth when the working set repeats.
-// Latency percentiles are computed from the sorted per-request samples.
-func RunHTTPLoad(w io.Writer, opts LoadOptions) ([]xqtp.HTTPServeCell, error) {
-	if opts.People <= 0 {
-		opts.People = 100
-	}
-	if len(opts.Clients) == 0 {
-		opts.Clients = []int{1, 4, 16}
-	}
-	if len(opts.Algorithms) == 0 {
-		opts.Algorithms = []string{"sc", "auto"}
-	}
-	if opts.CellDuration <= 0 {
-		opts.CellDuration = 2 * time.Second
-	}
+// httpLoadAlgorithms are the algorithms measured with the result cache off.
+var httpLoadAlgorithms = []string{"sc", "auto"}
+
+// httpLoad measures the network serving tier end to end: it starts the
+// real *server.Server on a loopback listener, then drives it with
+// closed-loop HTTP clients issuing the Fig. 6 child-form XMark queries
+// round-robin as POST /query NDJSON requests. Each cell fixes (algorithm,
+// client count) with the result cache off; one final cell repeats the
+// largest client count with the cache on, bounding what the cache is worth
+// when the working set repeats. Latency percentiles are computed from the
+// sorted per-request samples, not a histogram.
+func httpLoad(w io.Writer, opts Options) ([]Cell, error) {
+	load := opts.Load
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
 
-	doc := xqtp.NewXMarkDocument(opts.Seed, opts.People)
+	doc := xqtp.NewXMarkDocument(opts.Seed, load.People)
 	corpus, err := xqtp.LoadCorpus([]xqtp.CorpusSource{
 		{URI: "mem://xmark.xml", Data: []byte(doc.XML())},
 	}, 1)
@@ -71,68 +61,64 @@ func RunHTTPLoad(w io.Writer, opts LoadOptions) ([]xqtp.HTTPServeCell, error) {
 	for _, pair := range xqtp.Figure6Queries {
 		queries = append(queries, pair.Child)
 	}
-
-	maxClients := opts.Clients[0]
-	for _, c := range opts.Clients {
-		if c > maxClients {
-			maxClients = c
-		}
-	}
+	maxClients := slices.Max(load.Clients)
 
 	fmt.Fprintf(w, "\nHTTP serving: %d mixed XMark queries over POST /query (NDJSON), closed loop\n\n", len(queries))
-	fmt.Fprintf(w, "%-6s %-8s %-7s %-9s %-9s %-9s %-9s %-8s %-6s\n",
-		"alg", "clients", "cache", "qps", "p50ms", "p95ms", "p99ms", "reqs", "shed")
+	fmt.Fprintf(w, "%-6s %-8s %-7s %-9s %-9s %-9s %-9s %-8s\n",
+		"alg", "clients", "cache", "qps", "p50ms", "p95ms", "p99ms", "reqs")
 
-	var cells []xqtp.HTTPServeCell
-	emit := func(cell xqtp.HTTPServeCell) {
+	var cells []Cell
+	run := func(alg string, clients int, noCache bool) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		cell, err := runLoadCell(ctx, corpus, queries, alg, clients, noCache, load.CellDuration)
+		if err != nil {
+			return err
+		}
+		cell.Labels["xmark_people"] = strconv.Itoa(load.People)
+		cell.Labels["queries"] = "fig6-child"
 		cells = append(cells, cell)
-		fmt.Fprintf(w, "%-6s %-8d %-7s %-9.0f %-9.2f %-9.2f %-9.2f %-8d %-6d\n",
-			cell.Algorithm, cell.Clients, cell.ResultCache, cell.QPS,
-			cell.P50Ms, cell.P95Ms, cell.P99Ms, cell.Requests, cell.Shed)
+		m := cell.Metrics
+		fmt.Fprintf(w, "%-6s %-8d %-7s %-9.0f %-9.2f %-9.2f %-9.2f %-8.0f\n",
+			alg, clients, cell.Labels["result_cache"], m["qps"],
+			m["p50_ms"], m["p95_ms"], m["p99_ms"], m["requests"])
+		return nil
 	}
-
-	for _, alg := range opts.Algorithms {
-		for _, clients := range opts.Clients {
-			if err := ctx.Err(); err != nil {
+	for _, alg := range httpLoadAlgorithms {
+		for _, clients := range load.Clients {
+			if err := run(alg, clients, true); err != nil {
 				return cells, err
 			}
-			cell, err := runLoadCell(ctx, corpus, queries, alg, clients, true, opts.CellDuration)
-			if err != nil {
-				return cells, err
-			}
-			emit(cell)
 		}
 	}
 	// The cache-on cell: same workload, so after one warm pass every request
 	// is a cache hit — the ceiling of what epoch-keyed result caching buys.
-	if err := ctx.Err(); err != nil {
+	if err := run("auto", maxClients, false); err != nil {
 		return cells, err
 	}
-	cell, err := runLoadCell(ctx, corpus, queries, "auto", maxClients, false, opts.CellDuration)
-	if err != nil {
-		return cells, err
-	}
-	emit(cell)
 	return cells, nil
 }
 
 // runLoadCell measures one (algorithm, clients, cache) cell: a fresh server
 // on a loopback listener, closed-loop clients, latencies from every request
 // in the measured window.
-func runLoadCell(ctx context.Context, corpus *xqtp.Corpus, queries []string, alg string, clients int, noCache bool, d time.Duration) (xqtp.HTTPServeCell, error) {
-	cell := xqtp.HTTPServeCell{
-		Algorithm:   alg,
-		Clients:     clients,
-		ResultCache: "on",
-	}
+func runLoadCell(ctx context.Context, corpus *xqtp.Corpus, queries []string, alg string, clients int, noCache bool, d time.Duration) (Cell, error) {
+	cache := "on"
 	if noCache {
-		cell.ResultCache = "off"
+		cache = "off"
 	}
+	cell := Cell{Labels: map[string]string{
+		"alg":          alg,
+		"clients":      strconv.Itoa(clients),
+		"result_cache": cache,
+	}}
 
 	// A fresh server per cell keeps the cells independent: no carried-over
 	// cache contents or metrics. Admission is sized to the client count so a
-	// closed loop never sheds; shed>0 in a row therefore flags a real bug.
-	s := New(Config{
+	// closed loop never sheds; a 429 therefore flags a real bug and fails
+	// the cell (doLoadRequest).
+	s := server.New(server.Config{
 		MaxConcurrent: clients,
 		MaxQueue:      clients,
 		NoResultCache: noCache,
@@ -165,7 +151,7 @@ func runLoadCell(ctx context.Context, corpus *xqtp.Corpus, queries []string, alg
 
 	bodies := make([][]byte, len(queries))
 	for i, q := range queries {
-		b, err := json.Marshal(queryRequest{Query: q, Corpus: "xmark", Alg: alg})
+		b, err := json.Marshal(loadRequest{Query: q, Corpus: "xmark", Alg: alg})
 		if err != nil {
 			return cell, err
 		}
@@ -175,7 +161,7 @@ func runLoadCell(ctx context.Context, corpus *xqtp.Corpus, queries []string, alg
 	// Warmup: one pass over the workload compiles the plans (and, cache on,
 	// populates the result cache) outside the measured window.
 	for _, b := range bodies {
-		if _, _, err := doLoadRequest(ctx, client, url, b); err != nil {
+		if _, err := doLoadRequest(ctx, client, url, b); err != nil {
 			return cell, fmt.Errorf("warmup: %w", err)
 		}
 	}
@@ -198,7 +184,7 @@ func runLoadCell(ctx context.Context, corpus *xqtp.Corpus, queries []string, alg
 			for time.Now().Before(deadline) && ctx.Err() == nil {
 				b := bodies[int(next.Add(1))%len(bodies)]
 				start := time.Now()
-				n, _, err := doLoadRequest(ctx, client, url, b)
+				n, err := doLoadRequest(ctx, client, url, b)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -236,49 +222,65 @@ func runLoadCell(ctx context.Context, corpus *xqtp.Corpus, queries []string, alg
 		i := int(p * float64(len(latencies)-1))
 		return float64(latencies[i]) / float64(time.Millisecond)
 	}
-	cell.Requests = len(latencies)
 	// Closed-loop throughput: clients / mean latency.
-	cell.QPS = float64(clients) * float64(len(latencies)) / total.Seconds()
-	cell.P50Ms = pct(0.50)
-	cell.P95Ms = pct(0.95)
-	cell.P99Ms = pct(0.99)
-	cell.Rows = rows
-	cell.Shed = s.adm.Shed()
-	cs := s.CacheStats()
-	cell.CacheHits = cs.Hits
+	cell.Metrics = map[string]float64{
+		"requests":   float64(len(latencies)),
+		"qps":        float64(clients) * float64(len(latencies)) / total.Seconds(),
+		"p50_ms":     pct(0.50),
+		"p95_ms":     pct(0.95),
+		"p99_ms":     pct(0.99),
+		"rows":       float64(rows),
+		"cache_hits": float64(s.CacheStats().Hits),
+	}
 	return cell, nil
 }
 
+// loadRequest and loadSummary are the client's view of the POST /query
+// wire format: the request fields the load generator sets, and the summary
+// line that ends every NDJSON stream.
+type loadRequest struct {
+	Query  string `json:"query"`
+	Corpus string `json:"corpus"`
+	Alg    string `json:"alg"`
+}
+
+type loadSummary struct {
+	Status string `json:"status"`
+	Rows   int64  `json:"rows"`
+	Error  string `json:"error,omitempty"`
+}
+
 // doLoadRequest issues one POST /query and drains the NDJSON stream,
-// returning the row count from the summary line.
-func doLoadRequest(ctx context.Context, client *http.Client, url string, body []byte) (rows int64, status string, err error) {
+// returning the row count from the summary line. Any non-200 status — a 429
+// shed included — fails the request.
+func doLoadRequest(ctx context.Context, client *http.Client, url string, body []byte) (int64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return 0, "", err
+		return 0, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return 0, "", fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
+		return 0, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(data))
 	}
 	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
 	last := lines[len(lines)-1]
 	var sum struct {
-		Summary wireSummary `json:"summary"`
+		Summary loadSummary `json:"summary"`
 	}
 	if err := json.Unmarshal(last, &sum); err != nil {
-		return 0, "", fmt.Errorf("bad summary line %q: %w", last, err)
+		return 0, fmt.Errorf("bad summary line %q: %w", last, err)
 	}
-	if sum.Summary.Status != statusOK && sum.Summary.Status != statusLimit {
-		return 0, sum.Summary.Status, fmt.Errorf("query ended %s: %s", sum.Summary.Status, sum.Summary.Error)
+	if sum.Summary.Status != "ok" && sum.Summary.Status != "limit-reached" {
+		return 0, fmt.Errorf("query ended %s: %s", sum.Summary.Status, sum.Summary.Error)
 	}
-	return sum.Summary.Rows, sum.Summary.Status, nil
+	return sum.Summary.Rows, nil
 }

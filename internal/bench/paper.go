@@ -1,20 +1,21 @@
-package xqtp
+package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"time"
+
+	"xqtp"
 )
 
-// ExperimentOptions scales the paper's experiments. The defaults reproduce
-// the paper's parameters; tests and quick runs pass smaller values (the
-// reproduction targets the shape of the results, not absolute numbers).
-type ExperimentOptions struct {
+// Options scales the experiments. The defaults reproduce the paper's
+// parameters; tests and quick runs pass smaller values (the reproduction
+// targets the shape of the results, not absolute numbers).
+type Options struct {
 	Seed int64
 	// Table1Sizes are the MemBeR document sizes in bytes (paper: 2.1, 4.3,
 	// 6.5, 8.7, 11 MB).
@@ -35,7 +36,12 @@ type ExperimentOptions struct {
 	// Algorithms overrides the algorithm list of the Table 1 and Fig. 6
 	// experiments (nil: the paper's NL, TJ, SC columns). Auto is a valid
 	// entry, measuring the cost-based per-pattern choice.
-	Algorithms []Algorithm
+	Algorithms []xqtp.Algorithm
+	// Procs are the GOMAXPROCS settings of the in-process serving rows
+	// (nil: one processor and, when more are available, every processor).
+	Procs []int
+	// Load shapes the HTTP serving rows of the serve experiment.
+	Load LoadOptions
 	// Context, when non-nil, lets the caller abandon a sweep: the drivers
 	// check it between measurements and return its error once it is done.
 	// The measured operations themselves run without an execution context,
@@ -46,24 +52,24 @@ type ExperimentOptions struct {
 
 // checkpoint returns the options context's error, checked by the experiment
 // drivers between measurements (never inside a timed region).
-func (o ExperimentOptions) checkpoint() error {
+func (o Options) checkpoint() error {
 	if o.Context == nil {
 		return nil
 	}
 	return o.Context.Err()
 }
 
-// experimentAlgorithms resolves the per-cell algorithm list.
-func (o ExperimentOptions) experimentAlgorithms() []Algorithm {
+// algorithms resolves the per-cell algorithm list.
+func (o Options) algorithms() []xqtp.Algorithm {
 	if len(o.Algorithms) > 0 {
 		return o.Algorithms
 	}
-	return []Algorithm{NestedLoop, Twig, Staircase}
+	return xqtp.Algorithms
 }
 
-// DefaultExperimentOptions reproduces the paper's experiment parameters.
-func DefaultExperimentOptions() ExperimentOptions {
-	return ExperimentOptions{
+// DefaultOptions reproduces the paper's experiment parameters.
+func DefaultOptions() Options {
+	return Options{
 		Seed:            1,
 		Table1Sizes:     []int{2_100_000, 4_300_000, 6_500_000, 8_700_000, 11_000_000},
 		Fig4People:      []int{250, 500, 1000, 2000, 4000},
@@ -72,13 +78,13 @@ func DefaultExperimentOptions() ExperimentOptions {
 		DeepDepth:       15,
 		CollectionSizes: []int{10, 100, 1000, 3000},
 		Repeats:         3,
+		Load:            LoadOptions{People: 100, Clients: []int{1, 4, 16}, CellDuration: 2 * time.Second},
 	}
 }
 
-// QuickExperimentOptions is a scaled-down configuration for smoke runs and
-// tests.
-func QuickExperimentOptions() ExperimentOptions {
-	return ExperimentOptions{
+// QuickOptions is a scaled-down configuration for smoke runs and tests.
+func QuickOptions() Options {
+	return Options{
 		Seed:            1,
 		Table1Sizes:     []int{200_000, 400_000},
 		Fig4People:      []int{100, 200},
@@ -87,82 +93,88 @@ func QuickExperimentOptions() ExperimentOptions {
 		DeepDepth:       15,
 		CollectionSizes: []int{10, 50},
 		Repeats:         1,
+		Load:            LoadOptions{People: 25, Clients: []int{1, 4}, CellDuration: 400 * time.Millisecond},
 	}
 }
 
-// timeQuery measures the median evaluation time of a prepared query.
-func timeQuery(q *Query, doc *Document, alg Algorithm, repeats int) (time.Duration, error) {
-	d, _, _, err := measureQuery(q, doc, alg, repeats)
-	return d, err
+// sample is one measured operation: the median wall time over the timed
+// runs and the per-run allocation footprint.
+type sample struct {
+	d             time.Duration
+	allocs, bytes int64
 }
 
-// measureQuery measures the median evaluation time and the steady-state
-// allocation footprint (allocations and bytes per run, from MemStats deltas
-// over the timed runs; one warm-up run populates the plan and index caches
-// so the deltas reflect serving state, not first-run setup).
-func measureQuery(q *Query, doc *Document, alg Algorithm, repeats int) (time.Duration, int64, int64, error) {
+// metrics returns the sample's ns/op, allocs/op and bytes/op; experiments
+// add their own rates to the returned map.
+func (s sample) metrics() map[string]float64 {
+	return map[string]float64{
+		"ns_per_op":     float64(s.d.Nanoseconds()),
+		"allocs_per_op": float64(s.allocs),
+		"bytes_per_op":  float64(s.bytes),
+	}
+}
+
+// measure runs op once to warm up (populating plan and index caches, so the
+// deltas reflect serving state, not first-run setup), then repeats timed
+// runs, returning the median wall time, the per-run allocation footprint
+// from MemStats deltas, and the warm-up run's count.
+func measure(op func() (int, error), repeats int) (sample, int, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	if _, err := q.Run(doc, alg); err != nil {
-		return 0, 0, 0, err
+	n, err := op()
+	if err != nil {
+		return sample{}, 0, err
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	times := make([]time.Duration, 0, repeats)
 	for i := 0; i < repeats; i++ {
 		start := time.Now()
-		if _, err := q.Run(doc, alg); err != nil {
-			return 0, 0, 0, err
+		if _, err := op(); err != nil {
+			return sample{}, 0, err
 		}
 		times = append(times, time.Since(start))
 	}
 	runtime.ReadMemStats(&after)
-	allocs := int64(after.Mallocs-before.Mallocs) / int64(repeats)
-	bytes := int64(after.TotalAlloc-before.TotalAlloc) / int64(repeats)
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2], allocs, bytes, nil
+	return sample{
+		d:      times[len(times)/2],
+		allocs: int64(after.Mallocs-before.Mallocs) / int64(repeats),
+		bytes:  int64(after.TotalAlloc-before.TotalAlloc) / int64(repeats),
+	}, n, nil
+}
+
+// measureQuery measures one prepared query over one document.
+func measureQuery(q *xqtp.Query, doc *xqtp.Document, alg xqtp.Algorithm, repeats int) (sample, error) {
+	s, _, err := measure(func() (int, error) {
+		_, err := q.Run(doc, alg)
+		return 0, err
+	}, repeats)
+	return s, err
 }
 
 func seconds(d time.Duration) string { return fmt.Sprintf("%.5f", d.Seconds()) }
 
-// Table1Cell is one measurement of the Table 1 experiment.
-type Table1Cell struct {
-	Query         string  `json:"query"`
-	Algorithm     string  `json:"algorithm"`
-	DocumentBytes int     `json:"document_bytes"`
-	NsPerOp       float64 `json:"ns_per_op"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-}
-
-// Table1Report is the machine-readable output of RunTable1.
-type Table1Report struct {
-	Seed    int64        `json:"seed"`
-	Repeats int          `json:"repeats"`
-	Cells   []Table1Cell `json:"cells"`
-}
-
-// RunTable1 regenerates Table 1: evaluation time of QE1–QE6 under NLJoin,
+// Table1 regenerates Table 1: evaluation time of QE1–QE6 under NLJoin,
 // TwigJoin and SCJoin over MemBeR documents of growing size. The fastest
-// algorithm per cell row group is marked with '*'. If jsonPath is non-empty
-// a machine-readable report (ns/op, allocs/op, bytes/op per cell) is also
-// written there.
-func RunTable1(w io.Writer, opts ExperimentOptions, jsonPath string) error {
+// algorithm per cell row group is marked with '*'. The report carries
+// ns/op, allocs/op and bytes/op per (query, alg, document_bytes) cell.
+func Table1(w io.Writer, opts Options) (*Report, error) {
 	fmt.Fprintf(w, "Table 1: QE1-QE6 evaluation time (seconds), MemBeR documents (depth 4, 100 tags)\n\n")
-	docs := make([]*Document, len(opts.Table1Sizes))
+	docs := make([]*xqtp.Document, len(opts.Table1Sizes))
 	fmt.Fprintf(w, "%-10s", "doc size")
 	for i, sz := range opts.Table1Sizes {
-		docs[i] = NewMemberDocument(opts.Seed+int64(i), sz)
+		docs[i] = xqtp.NewMemberDocument(opts.Seed+int64(i), sz)
 		fmt.Fprintf(w, "%12s", fmt.Sprintf("%.1fMB", float64(sz)/1e6))
 	}
 	fmt.Fprintln(w)
-	algs := opts.experimentAlgorithms()
-	report := Table1Report{Seed: opts.Seed, Repeats: opts.Repeats}
-	for _, pq := range QEQueries {
-		q, err := PrepareCached(pq.Query)
+	algs := opts.algorithms()
+	report := newReport("table1", opts)
+	for _, pq := range xqtp.QEQueries {
+		q, err := xqtp.PrepareCached(pq.Query)
 		if err != nil {
-			return fmt.Errorf("%s: %w", pq.Name, err)
+			return nil, fmt.Errorf("%s: %w", pq.Name, err)
 		}
 		// Measure all cells first to mark the per-column winner.
 		cells := make([][]time.Duration, len(algs))
@@ -170,21 +182,18 @@ func RunTable1(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 			cells[ai] = make([]time.Duration, len(docs))
 			for di, doc := range docs {
 				if err := opts.checkpoint(); err != nil {
-					return err
+					return nil, err
 				}
-				d, allocs, bytes, err := measureQuery(q, doc, alg, opts.Repeats)
+				s, err := measureQuery(q, doc, alg, opts.Repeats)
 				if err != nil {
-					return fmt.Errorf("%s/%v: %w", pq.Name, alg, err)
+					return nil, fmt.Errorf("%s/%v: %w", pq.Name, alg, err)
 				}
-				cells[ai][di] = d
-				report.Cells = append(report.Cells, Table1Cell{
-					Query:         pq.Name,
-					Algorithm:     shortAlg(alg),
-					DocumentBytes: opts.Table1Sizes[di],
-					NsPerOp:       float64(d.Nanoseconds()),
-					AllocsPerOp:   allocs,
-					BytesPerOp:    bytes,
-				})
+				cells[ai][di] = s.d
+				report.add(map[string]string{
+					"query":          pq.Name,
+					"alg":            alg.Short(),
+					"document_bytes": strconv.Itoa(opts.Table1Sizes[di]),
+				}, s.metrics())
 			}
 		}
 		for ai, alg := range algs {
@@ -192,7 +201,7 @@ func RunTable1(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 			if ai > 0 {
 				label = ""
 			}
-			fmt.Fprintf(w, "%-4s %-5s", label, shortAlg(alg))
+			fmt.Fprintf(w, "%-4s %-5s", label, alg.Short())
 			for di := range docs {
 				best := true
 				for aj := range algs {
@@ -211,44 +220,20 @@ func RunTable1(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 		}
 	}
 	fmt.Fprintln(w, "\n(* = fastest algorithm for that query and document size)")
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "(report written to %s)\n", jsonPath)
-	}
-	return nil
+	return report, nil
 }
 
-func shortAlg(a Algorithm) string {
-	switch a {
-	case NestedLoop:
-		return "NL"
-	case Twig:
-		return "TJ"
-	case Staircase:
-		return "SC"
-	case Auto:
-		return "auto"
-	}
-	return "?"
-}
-
-// RunFigure4 regenerates Fig. 4: the §5.1 path expression written as a
+// Figure4 regenerates Fig. 4: the §5.1 path expression written as a
 // FLWOR, evaluated with and without the tree-pattern rewrites over growing
 // XMark documents.
-func RunFigure4(w io.Writer, opts ExperimentOptions) error {
+func Figure4(w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "Figure 4: FLWOR-written path, with vs without tree-pattern rewrites (seconds)\n\n")
-	flwor := Fig4Variants()[7] // a fully exploded FLWOR variant
-	oldQ, err := PrepareWithOptions(flwor, StandardEngineOptions)
+	flwor := xqtp.Fig4Variants()[7] // a fully exploded FLWOR variant
+	oldQ, err := xqtp.PrepareWithOptions(flwor, xqtp.StandardEngineOptions)
 	if err != nil {
 		return err
 	}
-	newQ, err := PrepareCached(flwor)
+	newQ, err := xqtp.PrepareCached(flwor)
 	if err != nil {
 		return err
 	}
@@ -261,18 +246,18 @@ func RunFigure4(w io.Writer, opts ExperimentOptions) error {
 		if err := opts.checkpoint(); err != nil {
 			return err
 		}
-		doc := NewXMarkDocument(opts.Seed+int64(i), people)
-		told, err := timeQuery(oldQ, doc, NestedLoop, opts.Repeats)
+		doc := xqtp.NewXMarkDocument(opts.Seed+int64(i), people)
+		told, err := measureQuery(oldQ, doc, xqtp.NestedLoop, opts.Repeats)
 		if err != nil {
 			return err
 		}
-		row := fmt.Sprintf("%-12d %-10s %-12s", people, fmt.Sprintf("%.1fMB", float64(doc.SizeBytes())/1e6), seconds(told))
-		for _, alg := range []Algorithm{NestedLoop, Twig, Staircase} {
-			tn, err := timeQuery(newQ, doc, alg, opts.Repeats)
+		row := fmt.Sprintf("%-12d %-10s %-12s", people, fmt.Sprintf("%.1fMB", float64(doc.SizeBytes())/1e6), seconds(told.d))
+		for _, alg := range xqtp.Algorithms {
+			tn, err := measureQuery(newQ, doc, alg, opts.Repeats)
 			if err != nil {
 				return err
 			}
-			row += fmt.Sprintf(" %-12s", seconds(tn))
+			row += fmt.Sprintf(" %-12s", seconds(tn.d))
 		}
 		fmt.Fprintln(w, row)
 	}
@@ -280,19 +265,19 @@ func RunFigure4(w io.Writer, opts ExperimentOptions) error {
 	return nil
 }
 
-// RunFigure6 regenerates Fig. 6: XMark queries in child form and in the
+// Figure6 regenerates Fig. 6: XMark queries in child form and in the
 // equivalent descendant form, under the three algorithms.
-func RunFigure6(w io.Writer, opts ExperimentOptions) error {
-	doc := NewXMarkDocument(opts.Seed, opts.Fig6People)
+func Figure6(w io.Writer, opts Options) error {
+	doc := xqtp.NewXMarkDocument(opts.Seed, opts.Fig6People)
 	fmt.Fprintf(w, "Figure 6: XMark queries, child vs descendant steps (seconds, %.1fMB document)\n\n",
 		float64(doc.SizeBytes())/1e6)
-	algs := opts.experimentAlgorithms()
+	algs := opts.algorithms()
 	fmt.Fprintf(w, "%-14s %-6s", "query", "form")
 	for _, alg := range algs {
-		fmt.Fprintf(w, " %-12s", shortAlg(alg))
+		fmt.Fprintf(w, " %-12s", alg.Short())
 	}
 	fmt.Fprintln(w)
-	for _, pair := range Figure6Queries {
+	for _, pair := range xqtp.Figure6Queries {
 		for _, form := range []struct {
 			label string
 			src   string
@@ -300,17 +285,17 @@ func RunFigure6(w io.Writer, opts ExperimentOptions) error {
 			if err := opts.checkpoint(); err != nil {
 				return err
 			}
-			q, err := PrepareCached(form.src)
+			q, err := xqtp.PrepareCached(form.src)
 			if err != nil {
 				return fmt.Errorf("%s: %w", pair.Name, err)
 			}
 			fmt.Fprintf(w, "%-14s %-6s", pair.Name, form.label)
 			for _, alg := range algs {
-				d, err := timeQuery(q, doc, alg, opts.Repeats)
+				s, err := measureQuery(q, doc, alg, opts.Repeats)
 				if err != nil {
 					return err
 				}
-				fmt.Fprintf(w, " %-12s", seconds(d))
+				fmt.Fprintf(w, " %-12s", seconds(s.d))
 			}
 			fmt.Fprintln(w)
 		}
@@ -318,11 +303,11 @@ func RunFigure6(w io.Writer, opts ExperimentOptions) error {
 	return nil
 }
 
-// RunSection53 regenerates the §5.3 table: the highly selective positional
+// Section53 regenerates the §5.3 table: the highly selective positional
 // chain (/t1[1])^k on a deep single-tag document, where the nested loop's
 // cursor-style early exit beats the set-at-a-time algorithms.
-func RunSection53(w io.Writer, opts ExperimentOptions) error {
-	doc := NewDeepDocument(opts.Seed, opts.DeepNodes, opts.DeepDepth, "t1")
+func Section53(w io.Writer, opts Options) error {
+	doc := xqtp.NewDeepDocument(opts.Seed, opts.DeepNodes, opts.DeepDepth, "t1")
 	fmt.Fprintf(w, "Section 5.3: (/t1[1])^k on a %d-node depth-%d document (seconds)\n\n",
 		opts.DeepNodes, opts.DeepDepth)
 	ks := []int{5, 10, 15}
@@ -334,36 +319,36 @@ func RunSection53(w io.Writer, opts ExperimentOptions) error {
 		fmt.Fprintf(w, "%12s", fmt.Sprintf("k=%d", k))
 	}
 	fmt.Fprintln(w)
-	for _, alg := range []Algorithm{NestedLoop, Twig, Staircase} {
+	for _, alg := range xqtp.Algorithms {
 		fmt.Fprintf(w, "%-10s", alg.String())
 		for _, k := range ks {
 			if err := opts.checkpoint(); err != nil {
 				return err
 			}
-			q, err := PrepareCached(Section53Query(k))
+			q, err := xqtp.PrepareCached(xqtp.Section53Query(k))
 			if err != nil {
 				return err
 			}
-			d, err := timeQuery(q, doc, alg, opts.Repeats)
+			s, err := measureQuery(q, doc, alg, opts.Repeats)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%12s", seconds(d))
+			fmt.Fprintf(w, "%12s", seconds(s.d))
 		}
 		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-// RunValidation regenerates the §5.1 robustness check: all syntactic
+// Validation regenerates the §5.1 robustness check: all syntactic
 // variants of the Fig. 4 path compile to the identical single-pattern plan.
-func RunValidation(w io.Writer) error {
-	variants := Fig4Variants()
-	fmt.Fprintf(w, "Section 5.1 validation: %d syntactic variants of\n  %s\n\n", len(variants), Fig4Query)
+func Validation(w io.Writer) error {
+	variants := xqtp.Fig4Variants()
+	fmt.Fprintf(w, "Section 5.1 validation: %d syntactic variants of\n  %s\n\n", len(variants), xqtp.Fig4Query)
 	var refPlan string
 	identical := 0
 	for i, v := range variants {
-		q, err := PrepareCached(v)
+		q, err := xqtp.PrepareCached(v)
 		if err != nil {
 			return fmt.Errorf("variant %d: %w", i, err)
 		}
@@ -387,31 +372,25 @@ func RunValidation(w io.Writer) error {
 	return nil
 }
 
-// RunAll runs every experiment in paper order.
-func RunAll(w io.Writer, opts ExperimentOptions) error {
-	if err := RunValidation(w); err != nil {
-		return err
+// All runs every experiment that prints a table, in paper order, followed
+// by the corpus experiments; their reports are discarded.
+func All(w io.Writer, opts Options) error {
+	steps := []func() error{
+		func() error { return Validation(w) },
+		func() error { return Figure4(w, opts) },
+		func() error { _, err := Table1(w, opts); return err },
+		func() error { return Figure6(w, opts) },
+		func() error { return Section53(w, opts) },
+		func() error { _, err := Collection(w, opts); return err },
+		func() error { _, err := Snapshot(w, opts); return err },
 	}
-	fmt.Fprintln(w)
-	if err := RunFigure4(w, opts); err != nil {
-		return err
+	for i, step := range steps {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		if err := step(); err != nil {
+			return err
+		}
 	}
-	fmt.Fprintln(w)
-	if err := RunTable1(w, opts, ""); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := RunFigure6(w, opts); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := RunSection53(w, opts); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := RunCollection(w, opts, ""); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	return RunSnapshot(w, opts, "")
+	return nil
 }

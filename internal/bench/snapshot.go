@@ -1,15 +1,18 @@
-package xqtp
+package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"time"
+
+	"xqtp"
+	"xqtp/internal/gen"
 )
 
 // The snapshot experiment measures the paging behavior of the file-backed
@@ -19,7 +22,8 @@ import (
 // operations leave behind — each in "mmap" mode (OpenCorpusFile) against
 // the "readall" baseline (read the whole file, then open the buffer).
 
-// SnapshotCell is one measurement of the snapshot experiment. The phases:
+// Snapshot cells are labeled by phase, mode and docs (and query, for the
+// query phases). The phases:
 //
 //   - "cold-open": open the snapshot file into a queryable corpus.
 //   - "first-query": one needle query against a freshly opened corpus
@@ -28,32 +32,9 @@ import (
 //   - "warm-query": the same query repeated on the same corpus, members
 //     already loaded — the steady-state floor.
 //
-// ResidentBytes is filled for mmap rows on hosts that can report it
-// (Linux): the snapshot mapping's resident set after the phase ran, the
-// direct measure of how little of the file the operation touched.
-type SnapshotCell struct {
-	Phase         string  `json:"phase"` // "cold-open", "first-query", "warm-query"
-	Mode          string  `json:"mode"`  // "mmap", "readall"
-	Docs          int     `json:"docs"`
-	Query         string  `json:"query,omitempty"`
-	Items         int     `json:"items,omitempty"`
-	Skipped       int     `json:"skipped,omitempty"`
-	SnapshotBytes int     `json:"snapshot_bytes"`
-	ResidentBytes int64   `json:"resident_bytes,omitempty"`
-	NsPerOp       float64 `json:"ns_per_op"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-}
-
-// SnapshotReport is the machine-readable output of RunSnapshot. The cells
-// key identifies the report kind to benchdiff.
-type SnapshotReport struct {
-	Seed    int64          `json:"seed"`
-	Repeats int            `json:"repeats"`
-	CPUs    int            `json:"cpus"`
-	Note    string         `json:"note,omitempty"`
-	Cells   []SnapshotCell `json:"snapshot_cells"`
-}
+// The resident_bytes metric is present for mmap rows on hosts that can
+// report it (Linux): the snapshot mapping's resident set after the phase
+// ran, the direct measure of how little of the file the operation touched.
 
 // snapshotNeedleURI / snapshotNeedleQuery: one extra corpus member carrying
 // a tag that occurs nowhere else, and the query that finds it. The name
@@ -69,9 +50,9 @@ const (
 // snapshotCorpusFile writes the generated corpus (plus the needle member)
 // as a snapshot file under dir and returns its path and size.
 func snapshotCorpusFile(dir string, nDocs int, seed int64) (string, int, error) {
-	sources := collectionSources(nDocs, seed)
-	sources = append(sources, CorpusSource{URI: snapshotNeedleURI, Data: []byte(snapshotNeedleXML)})
-	corpus, err := LoadCorpus(sources, 0)
+	sources := gen.MixedCorpus(nDocs, seed)
+	sources = append(sources, xqtp.CorpusSource{URI: snapshotNeedleURI, Data: []byte(snapshotNeedleXML)})
+	corpus, err := xqtp.LoadCorpus(sources, 0)
 	if err != nil {
 		return "", 0, err
 	}
@@ -97,21 +78,21 @@ func snapshotCorpusFile(dir string, nDocs int, seed int64) (string, int, error) 
 // snapshotOpen opens the snapshot file in the given mode. "readall" goes
 // through the buffer-owning path directly rather than the environment
 // variable, so the two modes are measured in one process.
-func snapshotOpen(path, mode string) (*Corpus, error) {
+func snapshotOpen(path, mode string) (*xqtp.Corpus, error) {
 	if mode == "readall" {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, err
 		}
-		return OpenCorpusSnapshot(data)
+		return xqtp.OpenCorpusSnapshot(data)
 	}
-	return OpenCorpusFile(path)
+	return xqtp.OpenCorpusFile(path)
 }
 
 // measureCold times op against a fresh state each repeat: setup runs
 // outside the timed region, op inside, teardown after. The median, with
-// allocation deltas averaged across repeats, mirroring measureIngest.
-func measureCold(repeats int, setup func() error, op func() error, teardown func()) (time.Duration, int64, int64, error) {
+// allocation deltas averaged across repeats, mirroring measure.
+func measureCold(repeats int, setup func() error, op func() error, teardown func()) (sample, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
@@ -120,13 +101,13 @@ func measureCold(repeats int, setup func() error, op func() error, teardown func
 	var allocs, bytes int64
 	for i := 0; i < repeats; i++ {
 		if err := setup(); err != nil {
-			return 0, 0, 0, err
+			return sample{}, err
 		}
 		runtime.ReadMemStats(&before)
 		start := time.Now()
 		if err := op(); err != nil {
 			teardown()
-			return 0, 0, 0, err
+			return sample{}, err
 		}
 		times = append(times, time.Since(start))
 		runtime.ReadMemStats(&after)
@@ -135,28 +116,43 @@ func measureCold(repeats int, setup func() error, op func() error, teardown func
 		teardown()
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return times[len(times)/2], allocs / int64(repeats), bytes / int64(repeats), nil
+	return sample{d: times[len(times)/2], allocs: allocs / int64(repeats), bytes: bytes / int64(repeats)}, nil
 }
 
-// RunSnapshot measures snapshot cold-open, first-query and warm-query
+// Snapshot measures snapshot cold-open, first-query and warm-query
 // latency, mmap against read-all, with the mapping's resident set where the
-// host reports it. If jsonPath is non-empty the machine-readable report is
-// also written there.
-func RunSnapshot(w io.Writer, opts ExperimentOptions, jsonPath string) error {
+// host reports it.
+func Snapshot(w io.Writer, opts Options) (*Report, error) {
 	fmt.Fprintf(w, "Snapshot: file-backed corpus paging — cold open, first query, resident set\n\n")
-	report := SnapshotReport{Seed: opts.Seed, Repeats: opts.Repeats, CPUs: runtime.NumCPU()}
+	report := newReport("snapshot", opts)
 	if runtime.GOOS != "linux" {
 		report.Note = "resident-set bytes are reported on Linux only; rows on this host omit them"
 	}
 	dir, err := os.MkdirTemp("", "xqtp-snapshot-bench")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer os.RemoveAll(dir)
 
-	q, err := Prepare(snapshotNeedleQuery)
+	q, err := xqtp.Prepare(snapshotNeedleQuery)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	// cell records one row; resident is omitted when the host cannot
+	// report it, items/skipped only belong to the query phases.
+	cell := func(phase, mode string, nDocs, snapBytes int, s sample, resident int64, haveRes bool, items, skipped int) {
+		labels := map[string]string{"phase": phase, "mode": mode, "docs": strconv.Itoa(nDocs)}
+		m := s.metrics()
+		m["snapshot_bytes"] = float64(snapBytes)
+		if haveRes {
+			m["resident_bytes"] = float64(resident)
+		}
+		if phase != "cold-open" {
+			labels["query"] = snapshotNeedleQuery
+			m["items"] = float64(items)
+			m["skipped"] = float64(skipped)
+		}
+		report.add(labels, m)
 	}
 
 	fmt.Fprintf(w, "%-12s %-8s %-8s %12s %16s %16s %10s %10s\n",
@@ -164,41 +160,32 @@ func RunSnapshot(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 	for _, nDocs := range opts.CollectionSizes {
 		path, snapBytes, err := snapshotCorpusFile(dir, nDocs, opts.Seed)
 		if err != nil {
-			return fmt.Errorf("snapshot %d docs: %w", nDocs, err)
+			return nil, fmt.Errorf("snapshot %d docs: %w", nDocs, err)
 		}
 		for _, mode := range []string{"mmap", "readall"} {
 			if err := opts.checkpoint(); err != nil {
-				return err
+				return nil, err
 			}
 			// cold-open: file path to queryable corpus, nothing loaded.
-			var c *Corpus
-			d, allocs, bytesPerOp, err := measureCold(opts.Repeats,
+			var c *xqtp.Corpus
+			s, err := measureCold(opts.Repeats,
 				func() error { return nil },
 				func() error { c, err = snapshotOpen(path, mode); return err },
 				func() { c.Close() })
 			if err != nil {
-				return fmt.Errorf("cold-open %s %d docs: %w", mode, nDocs, err)
+				return nil, fmt.Errorf("cold-open %s %d docs: %w", mode, nDocs, err)
 			}
 			// The resident set right after an open (measured once, outside
 			// the timed loop).
 			c, err = snapshotOpen(path, mode)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			resident, haveRes := c.SnapshotResident()
 			c.Close()
-			cell := SnapshotCell{
-				Phase: "cold-open", Mode: mode, Docs: nDocs,
-				SnapshotBytes: snapBytes,
-				NsPerOp:       float64(d.Nanoseconds()),
-				AllocsPerOp:   allocs, BytesPerOp: bytesPerOp,
-			}
-			if haveRes {
-				cell.ResidentBytes = resident
-			}
-			report.Cells = append(report.Cells, cell)
+			cell("cold-open", mode, nDocs, snapBytes, s, resident, haveRes, 0, 0)
 			fmt.Fprintf(w, "%-12s %-8s %-8d %12.3f %16d %16s %10s %10s\n",
-				"cold-open", mode, nDocs, float64(d.Nanoseconds())/1e6, snapBytes,
+				"cold-open", mode, nDocs, float64(s.d.Nanoseconds())/1e6, snapBytes,
 				residentString(resident, haveRes), "", "")
 
 			// first-query: a cold corpus answers the needle query. The open
@@ -206,10 +193,10 @@ func RunSnapshot(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 			items, skipped := 0, 0
 			var lastRes int64
 			var lastHaveRes bool
-			d, allocs, bytesPerOp, err = measureCold(opts.Repeats,
+			s, err = measureCold(opts.Repeats,
 				func() error { c, err = snapshotOpen(path, mode); return err },
 				func() error {
-					seq, rs, err := c.RunWith(context.Background(), q, Auto, RunOptions{Workers: 1})
+					seq, rs, err := c.RunWith(context.Background(), q, xqtp.Auto, xqtp.RunOptions{Workers: 1})
 					if err != nil {
 						return err
 					}
@@ -222,67 +209,40 @@ func RunSnapshot(w io.Writer, opts ExperimentOptions, jsonPath string) error {
 					c.Close()
 				})
 			if err != nil {
-				return fmt.Errorf("first-query %s %d docs: %w", mode, nDocs, err)
+				return nil, fmt.Errorf("first-query %s %d docs: %w", mode, nDocs, err)
 			}
-			cell = SnapshotCell{
-				Phase: "first-query", Mode: mode, Docs: nDocs,
-				Query: snapshotNeedleQuery, Items: items, Skipped: skipped,
-				SnapshotBytes: snapBytes,
-				NsPerOp:       float64(d.Nanoseconds()),
-				AllocsPerOp:   allocs, BytesPerOp: bytesPerOp,
-			}
-			if lastHaveRes {
-				cell.ResidentBytes = lastRes
-			}
-			report.Cells = append(report.Cells, cell)
+			cell("first-query", mode, nDocs, snapBytes, s, lastRes, lastHaveRes, items, skipped)
 			fmt.Fprintf(w, "%-12s %-8s %-8d %12.3f %16d %16s %10d %10d\n",
-				"first-query", mode, nDocs, float64(d.Nanoseconds())/1e6, snapBytes,
+				"first-query", mode, nDocs, float64(s.d.Nanoseconds())/1e6, snapBytes,
 				residentString(lastRes, lastHaveRes), items, skipped)
 
 			// warm-query: the same corpus, needle member already loaded.
 			c, err = snapshotOpen(path, mode)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if _, err := c.Run(q, Auto); err != nil {
+			if _, err := c.Run(q, xqtp.Auto); err != nil {
 				c.Close()
-				return err
+				return nil, err
 			}
-			d, allocs, bytesPerOp, err = measureCold(opts.Repeats,
+			s, err = measureCold(opts.Repeats,
 				func() error { return nil },
 				func() error {
-					_, err := c.Run(q, Auto)
+					_, err := c.Run(q, xqtp.Auto)
 					return err
 				},
 				func() {})
 			c.Close()
 			if err != nil {
-				return fmt.Errorf("warm-query %s %d docs: %w", mode, nDocs, err)
+				return nil, fmt.Errorf("warm-query %s %d docs: %w", mode, nDocs, err)
 			}
-			report.Cells = append(report.Cells, SnapshotCell{
-				Phase: "warm-query", Mode: mode, Docs: nDocs,
-				Query: snapshotNeedleQuery, Items: items, Skipped: skipped,
-				SnapshotBytes: snapBytes,
-				NsPerOp:       float64(d.Nanoseconds()),
-				AllocsPerOp:   allocs, BytesPerOp: bytesPerOp,
-			})
+			cell("warm-query", mode, nDocs, snapBytes, s, 0, false, items, skipped)
 			fmt.Fprintf(w, "%-12s %-8s %-8d %12.3f %16d %16s %10d %10d\n",
-				"warm-query", mode, nDocs, float64(d.Nanoseconds())/1e6, snapBytes,
+				"warm-query", mode, nDocs, float64(s.d.Nanoseconds())/1e6, snapBytes,
 				"", items, skipped)
 		}
 	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "(report written to %s)\n", jsonPath)
-	}
-	return nil
+	return report, nil
 }
 
 func residentString(res int64, ok bool) string {

@@ -73,3 +73,14 @@ func TestParseAlgorithmAuto(t *testing.T) {
 		t.Errorf("Auto.String() = %q", Auto.String())
 	}
 }
+
+// Short labels round-trip through ParseAlgorithm, so a report's alg label
+// names the algorithm that produced it.
+func TestShortRoundTrip(t *testing.T) {
+	for _, a := range []Algorithm{NestedLoop, Twig, Staircase, Auto} {
+		got, err := ParseAlgorithm(a.Short())
+		if err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", a.Short(), got, err, a)
+		}
+	}
+}

@@ -47,6 +47,22 @@ func (a Algorithm) String() string {
 	return "?"
 }
 
+// Short is the algorithm's column label in the benchmark reports and
+// benchmark names: NL, TJ, SC, auto.
+func (a Algorithm) Short() string {
+	switch a {
+	case NestedLoop:
+		return "NL"
+	case Twig:
+		return "TJ"
+	case Staircase:
+		return "SC"
+	case Auto:
+		return "auto"
+	}
+	return "?"
+}
+
 // ParseAlgorithm resolves an algorithm name ("nl", "sc", "twig", and the
 // paper's table labels).
 func ParseAlgorithm(name string) (Algorithm, error) {

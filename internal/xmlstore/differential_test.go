@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"xqtp/internal/gen"
 	"xqtp/internal/xdm"
+	"xqtp/internal/xmlstore/stdxml"
 )
 
 // The differential contract of the ingest fast path: for every input that
@@ -158,7 +158,7 @@ var differentialCorpus = []string{
 func TestFastVsStdCorpus(t *testing.T) {
 	for _, doc := range differentialCorpus {
 		t.Run("", func(t *testing.T) {
-			want, err := ParseStd(strings.NewReader(doc))
+			want, err := stdxml.ParseStd(strings.NewReader(doc))
 			if err != nil {
 				t.Fatalf("ParseStd rejected corpus entry %q: %v", doc, err)
 			}
@@ -170,30 +170,6 @@ func TestFastVsStdCorpus(t *testing.T) {
 			ix, err := IngestString(doc)
 			if err != nil {
 				t.Fatalf("Ingest rejected %q: %v", doc, err)
-			}
-			requireTreesEqual(t, want, ix.Tree)
-			requireIndexesEqual(t, BuildIndex(ix.Tree), ix)
-		})
-	}
-}
-
-// TestFastVsStdGenerated runs the differential check over serialized
-// MemBeR, XMark, and deep generated documents — the benchmark workloads.
-func TestFastVsStdGenerated(t *testing.T) {
-	docs := map[string][]byte{
-		"member": AppendXML(nil, gen.MemberRoot(gen.MemberConfig{Seed: 7, Depth: 4, NumTags: 100, NumNodes: 20000})),
-		"xmark":  AppendXML(nil, gen.XMarkRoot(gen.XMarkConfig{Seed: 7, People: 200})),
-		"deep":   AppendXML(nil, gen.DeepRoot(7, 5000, 15, "t1")),
-	}
-	for name, data := range docs {
-		t.Run(name, func(t *testing.T) {
-			want, err := ParseStd(bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("ParseStd: %v", err)
-			}
-			ix, err := Ingest(data)
-			if err != nil {
-				t.Fatalf("Ingest: %v", err)
 			}
 			requireTreesEqual(t, want, ix.Tree)
 			requireIndexesEqual(t, BuildIndex(ix.Tree), ix)
@@ -231,7 +207,7 @@ func TestMalformedRejected(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseStd(strings.NewReader(tc.doc)); err == nil {
+			if _, err := stdxml.ParseStd(strings.NewReader(tc.doc)); err == nil {
 				t.Fatalf("ParseStd accepted %q", tc.doc)
 			} else if !strings.HasPrefix(err.Error(), "xmlstore:") {
 				t.Fatalf("ParseStd error not xmlstore-prefixed: %v", err)
@@ -266,7 +242,7 @@ func TestXmlnsDropSymmetry(t *testing.T) {
 		for _, parse := range []struct {
 			label string
 			fn    func(string) (*xdm.Tree, error)
-		}{{"std", ParseStdString}, {"fast", ParseString}} {
+		}{{"std", stdxml.ParseStdString}, {"fast", ParseString}} {
 			tr, err := parse.fn(tc.doc)
 			if err != nil {
 				t.Fatalf("%s rejected %q: %v", parse.label, tc.doc, err)
@@ -299,7 +275,7 @@ func FuzzScanVsStd(f *testing.F) {
 	f.Add([]byte("<a><b><c/></b><b/></a>"))
 	f.Add([]byte("<!DOCTYPE a SYSTEM \"x\"><a/>"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		want, stdErr := ParseStd(bytes.NewReader(data))
+		want, stdErr := stdxml.ParseStd(bytes.NewReader(data))
 		if stdErr != nil {
 			// ParseStd rejects; the non-validating scanner may go either way.
 			return

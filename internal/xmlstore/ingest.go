@@ -8,7 +8,7 @@ package xmlstore
 // per-symbol index stream — the separate xdm.Finalize and BuildIndex
 // re-traversals of the encoding/xml path disappear entirely.
 //
-// The scanner accepts a superset of what ParseStd accepts (no UTF-8
+// The scanner accepts a superset of what stdxml.ParseStd accepts (no UTF-8
 // validation, no name-character checks, '<' allowed in attribute values,
 // ']]>' allowed in text) but produces a bit-identical tree and index for
 // every input ParseStd accepts; the differential and fuzz suites enforce
@@ -45,8 +45,8 @@ func IngestReader(r io.Reader) (*Index, error) {
 
 // Parse reads an XML document from r and returns its XDM tree via the fast
 // scanner. Whitespace-only text between elements is dropped (data-oriented
-// parsing); mixed content text is preserved. ParseStd is the encoding/xml
-// reference implementation of the same contract.
+// parsing); mixed content text is preserved. stdxml.ParseStd is the
+// encoding/xml reference implementation of the same contract.
 func Parse(r io.Reader) (*xdm.Tree, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

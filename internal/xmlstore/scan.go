@@ -3,8 +3,8 @@ package xmlstore
 // Low-level primitives of the zero-copy XML scanner: name scanning, the
 // namespace name-splitting rule of encoding/xml, and character-data decoding
 // (predefined entities, numeric character references, newline
-// normalization). The fused tree construction lives in ingest.go; ParseStd
-// in parse.go remains the encoding/xml reference oracle the scanner is
+// normalization). The fused tree construction lives in ingest.go;
+// stdxml.ParseStd remains the encoding/xml reference oracle the scanner is
 // differentially tested against.
 
 import (

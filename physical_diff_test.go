@@ -3,6 +3,8 @@ package xqtp
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -137,6 +139,65 @@ func TestExplainPhysicalAnnotations(t *testing.T) {
 	}
 	if !contains(auto, "alg=Auto→") {
 		t.Errorf("ExplainPhysical(Auto, doc) missing the cost-model choice:\n%s", auto)
+	}
+}
+
+// StepEstimates is the data behind ExplainPhysical(Auto, doc): for every
+// root-bound pattern, the explain's "alg=Auto→choice" annotation and its
+// "step … est= act=" lines are exactly the StepEstimates rows, over the
+// whole differential corpus on both document families.
+func TestStepEstimatesMatchExplain(t *testing.T) {
+	ctx := context.Background()
+	rows := 0
+	for _, d := range []struct {
+		name string
+		doc  *Document
+	}{{"xmark", NewXMarkDocument(7, 120)}, {"member", NewMemberDocument(7, 150_000)}} {
+		for _, pq := range physicalDiffCorpus() {
+			q := MustPrepare(pq.Query)
+			text, err := q.ExplainPhysical(ctx, Auto, d.doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One group per annotated pattern line, in print order.
+			var fromExplain []string
+			for _, line := range strings.Split(text, "\n") {
+				line = strings.TrimSpace(line)
+				if i := strings.Index(line, "alg=Auto→"); i >= 0 {
+					choice := strings.Fields(line[i+len("alg=Auto→"):])[0]
+					fromExplain = append(fromExplain, choice)
+				} else if strings.HasPrefix(line, "step ") {
+					fromExplain[len(fromExplain)-1] += "\n" + line
+				}
+			}
+			ests, err := q.StepEstimates(ctx, d.doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += len(ests)
+			groups := map[int]string{}
+			var order []int
+			for _, e := range ests {
+				if _, ok := groups[e.Pattern]; !ok {
+					groups[e.Pattern] = e.Choice
+					order = append(order, e.Pattern)
+				}
+				groups[e.Pattern] += fmt.Sprintf("\nstep %s est=%s act=%d", e.Step, formatEst(e.Est), e.Act)
+			}
+			var fromEstimates []string
+			for _, pi := range order {
+				fromEstimates = append(fromEstimates, groups[pi])
+			}
+			sort.Strings(fromExplain)
+			sort.Strings(fromEstimates)
+			if strings.Join(fromExplain, "\n--\n") != strings.Join(fromEstimates, "\n--\n") {
+				t.Errorf("%s/%s: explain and StepEstimates disagree\nexplain:\n%s\nestimates:\n%s",
+					d.name, pq.Name, strings.Join(fromExplain, "\n--\n"), strings.Join(fromEstimates, "\n--\n"))
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no root-bound pattern produced a step estimate")
 	}
 }
 

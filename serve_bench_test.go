@@ -23,7 +23,7 @@ func BenchmarkServe(b *testing.B) {
 		queries = append(queries, q)
 	}
 	for _, alg := range Algorithms {
-		b.Run(shortAlg(alg), func(b *testing.B) {
+		b.Run(alg.Short(), func(b *testing.B) {
 			// Warm the (query, document, algorithm) preparations so the
 			// timed region is pure evaluation.
 			for _, q := range queries {

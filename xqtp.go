@@ -544,51 +544,79 @@ func (q *Query) ExplainPhysical(ctx context.Context, alg Algorithm, doc *Documen
 	if doc == nil || alg != Auto {
 		return p.Explain(), nil
 	}
-	ec := execctx.From(ctx, 0, 0)
-	// Document-rooted annotations only make sense for pattern operators fed
-	// directly by the root binding; downstream operators (after a positional
-	// head, say) consume derived bindings and their per-document choice is
-	// made per context at run time.
-	rootBound := make(map[*pattern.Pattern]bool)
-	pats := p.Patterns()
-	for i, rb := range p.RootBoundPatterns() {
-		if rb {
-			rootBound[pats[i]] = true
-		}
-	}
-	choice := func(pat *pattern.Pattern) string {
-		if !rootBound[pat] {
-			return ""
-		}
-		est := join.ChooseEstimate(doc.index, doc.tree.Root, pat)
-		if est.Empty {
-			return "skip(empty)"
-		}
-		return est.Alg.String()
+	ests, err := q.StepEstimates(ctx, doc)
+	if err != nil {
+		return "", err
 	}
 	// The detail lines put the cost model on trial: per spine step, the
 	// model's predicted cardinality next to the exact count from evaluating
 	// the corresponding pattern prefix.
-	detail := func(pat *pattern.Pattern) []string {
-		if !rootBound[pat] {
-			return nil
+	pats := p.Patterns()
+	choices := make(map[*pattern.Pattern]string)
+	details := make(map[*pattern.Pattern][]string)
+	for _, e := range ests {
+		pat := pats[e.Pattern]
+		choices[pat] = e.Choice
+		details[pat] = append(details[pat], fmt.Sprintf("step %s est=%s act=%d",
+			e.Step, formatEst(e.Est), e.Act))
+	}
+	return p.ExplainDetail(
+		func(pat *pattern.Pattern) string { return choices[pat] },
+		func(pat *pattern.Pattern) []string { return details[pat] }), nil
+}
+
+// StepEstimate is the cost model on trial for one spine step of a
+// root-bound pattern operator under Auto: the algorithm the model picks for
+// the pattern on a concrete document, and the step's estimated next to its
+// actual cardinality (distinct nodes matching the spine prefix up to the
+// step, predicates included).
+type StepEstimate struct {
+	Pattern int    // index of the pattern operator, in physical-plan order
+	Choice  string // Auto's algorithm for the pattern, or "skip(empty)"
+	Step    string // the rendered spine step
+	Est     float64
+	Act     int // -1 when the prefix could not be evaluated
+}
+
+// StepEstimates runs the cost model and the exact per-prefix counts for
+// every pattern operator of the Auto plan that is fed directly by the root
+// binding; downstream operators (after a positional head, say) consume
+// derived bindings, and their per-document choice is made per context at
+// run time. The actuals are full pattern runs, so they poll ctx and the call
+// returns ErrCanceled once it is done. A closed doc returns ErrClosed.
+func (q *Query) StepEstimates(ctx context.Context, doc *Document) ([]StepEstimate, error) {
+	if err := doc.closedErr(); err != nil {
+		return nil, err
+	}
+	p, err := q.physicalPlan(Auto)
+	if err != nil {
+		return nil, err
+	}
+	ec := execctx.From(ctx, 0, 0)
+	var out []StepEstimate
+	rootBound := p.RootBoundPatterns()
+	for pi, pat := range p.Patterns() {
+		if !rootBound[pi] {
+			continue
 		}
 		est := join.ChooseEstimate(doc.index, doc.tree.Root, pat)
+		choice := est.Alg.String()
+		if est.Empty {
+			choice = "skip(empty)"
+		}
 		acts := join.StepActualsCtx(ec, doc.index, doc.tree.Root, pat)
-		lines := make([]string, 0, len(est.Steps))
 		for i, se := range est.Steps {
 			act := -1
 			if i < len(acts) {
 				act = acts[i]
 			}
-			lines = append(lines, fmt.Sprintf("step %s est=%s act=%d",
-				se.Step.StepString(), formatEst(se.Out), act))
+			out = append(out, StepEstimate{
+				Pattern: pi, Choice: choice, Step: se.Step.StepString(), Est: se.Out, Act: act,
+			})
 		}
-		return lines
 	}
-	out := p.ExplainDetail(choice, detail)
 	if err := ec.Err(); err != nil {
-		return "", err
+		return nil, err
 	}
 	return out, nil
 }
