@@ -1,10 +1,10 @@
 GO ?= go
 
-# Packages with concurrency-sensitive paths (shared catalog, prepared-join
-# caches, shared compiled physical plans, parallel TupleTreePattern workers)
-# plus the unsafe-aliasing ingest scanner and the parallel corpus layer get a
-# dedicated -race run.
-RACE_PKGS = ./internal/collection ./internal/join ./internal/physical ./internal/server ./internal/xmlstore
+# Packages with concurrency-sensitive paths (the shared LRU behind the plan,
+# prepared-join and result caches, shared compiled physical plans, parallel
+# TupleTreePattern workers) plus the unsafe-aliasing ingest scanner and the
+# parallel corpus layer get a dedicated -race run.
+RACE_PKGS = ./internal/collection ./internal/join ./internal/lru ./internal/physical ./internal/server ./internal/xmlstore
 
 .PHONY: all build vet test race check bench serve run-server bench-compare bench-smoke fuzz-smoke clean
 

@@ -117,7 +117,7 @@ func main() {
 	}
 	opts := xqtp.DefaultOptions
 	opts.TreePatterns = !*noTP
-	q, err := xqtp.PrepareCachedWithOptions(*query, opts)
+	q, err := xqtp.PrepareWithOptions(*query, opts)
 	if err != nil {
 		fatal(err)
 	}

@@ -3,7 +3,6 @@ package xqtp
 import (
 	"context"
 	"io"
-	"os"
 	"sync/atomic"
 
 	"xqtp/internal/collection"
@@ -84,17 +83,9 @@ func OpenCorpusSnapshot(data []byte) (*Corpus, error) {
 // only the header, offset table and corpus name table are read at open, so
 // the cost is O(open) regardless of corpus size, and member pages fault in
 // as queries touch them — a corpus larger than RAM stays queryable. The
-// corpus owns the mapping; call Close to release it. Setting the
-// XQTP_SNAPSHOT_READALL environment variable (any non-empty value) forces
-// the old read-everything path instead, which needs no Close.
+// corpus owns the mapping; call Close to release it. To read the whole file
+// into memory instead, pass its bytes to OpenCorpusSnapshot.
 func OpenCorpusFile(path string) (*Corpus, error) {
-	if os.Getenv("XQTP_SNAPSHOT_READALL") != "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return OpenCorpusSnapshot(data)
-	}
 	c, err := collection.OpenSnapshotFile(path)
 	if err != nil {
 		return nil, err
@@ -136,9 +127,9 @@ func (c *Corpus) Len() int { return c.c.Len() }
 
 // Epoch returns the corpus's extension epoch: 0 for a freshly ingested or
 // snapshot-loaded corpus, and one more than the receiver for every Extend
-// result. A result cache keyed by (query, corpus name, epoch) is therefore
-// invalidated exactly when a server swaps in an extended corpus — the epoch
-// is the cheap, monotonic stand-in for "same membership".
+// result. It orders the snapshots of one Extend lineage only: an unrelated
+// corpus starts over at 0, so a cache that must tell two corpora apart
+// cannot key on the epoch alone.
 func (c *Corpus) Epoch() uint64 { return c.c.Epoch() }
 
 // URIs returns the member URIs in corpus order.
@@ -151,7 +142,8 @@ func (c *Corpus) URIs() []string {
 }
 
 // Document returns the member with the given URI as a standalone Document
-// sharing the corpus's catalog (so its indexes are never rebuilt).
+// whose runs use the corpus as their store (so its indexes are never
+// rebuilt).
 func (c *Corpus) Document(uri string) (*Document, bool) {
 	d, ok := c.c.ByURI(uri)
 	if !ok {
@@ -169,10 +161,9 @@ func (c *Corpus) wrap(d *collection.Doc) *Document {
 	return &Document{
 		tree:    d.Tree(),
 		index:   d.Index,
-		catalog: c.c.Catalog(),
 		rootSeq: xdm.Singleton(d.Root()),
 		uri:     d.URI,
-		docs:    c.c,
+		corpus:  c.c,
 	}
 }
 
@@ -262,10 +253,9 @@ func (c *Corpus) runCore(ec *execctx.Ctx, q *Query, alg Algorithm, workers int, 
 	}
 	if p.UsesDocAccess() {
 		rt := &physical.Runtime{
-			Catalog:  c.c.Catalog(),
+			Store:    c.c,
 			Preps:    q.preps,
 			Parallel: workers,
-			Docs:     c.c,
 			EC:       ec,
 		}
 		return 0, p.RunSink(rt, sink)
@@ -314,11 +304,10 @@ func (c *Corpus) runCore(ec *execctx.Ctx, q *Query, alg Algorithm, workers int, 
 			return nil, err
 		}
 		rt := &physical.Runtime{
-			Catalog: c.c.Catalog(),
-			Preps:   q.preps,
-			Docs:    c.c,
-			Root:    xdm.Singleton(d.Root()),
-			EC:      memberEC,
+			Store: c.c,
+			Preps: q.preps,
+			Root:  xdm.Singleton(d.Root()),
+			EC:    memberEC,
 		}
 		return p.Run(rt)
 	}, func(seq Sequence) error {

@@ -257,46 +257,6 @@ func TestCorpusFileQueryDifferential(t *testing.T) {
 	}
 }
 
-// XQTP_SNAPSHOT_READALL forces the old read-everything open; results must
-// not change, only the backing storage.
-func TestCorpusFileReadAllFallback(t *testing.T) {
-	fresh, err := LoadCorpus(genCorpusSources(6, 3), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := fresh.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "corpus.xqts")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("XQTP_SNAPSHOT_READALL", "1")
-	loaded, err := OpenCorpusFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Mapped() {
-		t.Fatal("read-all fallback reported a live mapping")
-	}
-	q, err := Prepare(`$input//doc`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := runCorpus(fresh, q, Auto, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runCorpus(loaded, q, Auto, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := equivItems(want, got, fresh.URIOf, loaded.URIOf); err != nil {
-		t.Fatalf("read-all corpus differs from fresh: %v", err)
-	}
-}
-
 // Single-document file mapping through the public Document API.
 func TestDocumentOpenSnapshotFile(t *testing.T) {
 	doc, err := LoadXMLString(`<a id="1"><b x="y"><c>hello</c></b><c>world</c><b><c/></b></a>`)

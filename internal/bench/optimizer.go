@@ -68,7 +68,7 @@ func Optimizer(w io.Writer, opts Options) (*Report, error) {
 			if err := opts.checkpoint(); err != nil {
 				return nil, err
 			}
-			q, err := xqtp.PrepareCached(pq.Query)
+			q, err := plans.Prepare(pq.Query)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", pq.Name, err)
 			}

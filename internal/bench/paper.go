@@ -12,6 +12,11 @@ import (
 	"xqtp"
 )
 
+// plans is the harness's one plan cache: every experiment prepares its
+// queries through it, so a query compiled for one experiment is reused by
+// the next, and its prepared joins stay warm across them.
+var plans = xqtp.NewPlanCache(xqtp.DefaultPlanCacheSize)
+
 // Options scales the experiments. The defaults reproduce the paper's
 // parameters; tests and quick runs pass smaller values (the reproduction
 // targets the shape of the results, not absolute numbers).
@@ -172,7 +177,7 @@ func Table1(w io.Writer, opts Options) (*Report, error) {
 	algs := opts.algorithms()
 	report := newReport("table1", opts)
 	for _, pq := range xqtp.QEQueries {
-		q, err := xqtp.PrepareCached(pq.Query)
+		q, err := plans.Prepare(pq.Query)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pq.Name, err)
 		}
@@ -233,7 +238,7 @@ func Figure4(w io.Writer, opts Options) error {
 	if err != nil {
 		return err
 	}
-	newQ, err := xqtp.PrepareCached(flwor)
+	newQ, err := plans.Prepare(flwor)
 	if err != nil {
 		return err
 	}
@@ -285,7 +290,7 @@ func Figure6(w io.Writer, opts Options) error {
 			if err := opts.checkpoint(); err != nil {
 				return err
 			}
-			q, err := xqtp.PrepareCached(form.src)
+			q, err := plans.Prepare(form.src)
 			if err != nil {
 				return fmt.Errorf("%s: %w", pair.Name, err)
 			}
@@ -325,7 +330,7 @@ func Section53(w io.Writer, opts Options) error {
 			if err := opts.checkpoint(); err != nil {
 				return err
 			}
-			q, err := xqtp.PrepareCached(xqtp.Section53Query(k))
+			q, err := plans.Prepare(xqtp.Section53Query(k))
 			if err != nil {
 				return err
 			}
@@ -348,7 +353,7 @@ func Validation(w io.Writer) error {
 	var refPlan string
 	identical := 0
 	for i, v := range variants {
-		q, err := xqtp.PrepareCached(v)
+		q, err := plans.Prepare(v)
 		if err != nil {
 			return fmt.Errorf("variant %d: %w", i, err)
 		}

@@ -23,7 +23,7 @@ import (
 func serveQueries() ([]*xqtp.Query, error) {
 	qs := make([]*xqtp.Query, 0, len(xqtp.Figure6Queries))
 	for _, pair := range xqtp.Figure6Queries {
-		q, err := xqtp.PrepareCached(pair.Child)
+		q, err := plans.Prepare(pair.Child)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pair.Name, err)
 		}

@@ -58,15 +58,10 @@ type Corpus struct {
 	docs   []*Doc
 	byURI  map[string]int
 	byTree map[*xdm.Tree]int
-	// catalog registers every member index so any engine run against the
-	// corpus resolves indexes without rebuilding them.
-	catalog *xmlstore.Catalog
-	names   *NameTable
+	names  *NameTable
 	// epoch counts the Extend steps behind this snapshot: a freshly ingested
 	// or snapshot-loaded corpus is epoch 0, and each Extend returns a corpus
-	// one epoch later. The pair (corpus name, epoch) is what result caches
-	// key on — swapping in an extended corpus changes the epoch, so every
-	// cached answer computed against the old membership stops matching.
+	// one epoch later.
 	epoch uint64
 	// roots is the memoized fn:collection() result: every member's document
 	// node in corpus order. Built on first ResolveCollection rather than at
@@ -137,10 +132,9 @@ func assemble(members []*Doc) (*Corpus, error) {
 // stored one). names nil falls back to a full build.
 func assembleWith(members []*Doc, names *NameTable) (*Corpus, error) {
 	c := &Corpus{
-		docs:    members,
-		byURI:   make(map[string]int, len(members)),
-		byTree:  make(map[*xdm.Tree]int, len(members)),
-		catalog: xmlstore.NewCatalog(),
+		docs:   members,
+		byURI:  make(map[string]int, len(members)),
+		byTree: make(map[*xdm.Tree]int, len(members)),
 	}
 	for i, d := range members {
 		if d.Index == nil {
@@ -151,7 +145,6 @@ func assembleWith(members []*Doc, names *NameTable) (*Corpus, error) {
 		}
 		c.byURI[d.URI] = i
 		c.byTree[d.Tree()] = i
-		c.catalog.Register(d.Index)
 	}
 	if names == nil {
 		names = buildNameTable(members)
@@ -189,8 +182,15 @@ func (c *Corpus) ByTree(t *xdm.Tree) (*Doc, bool) {
 	return c.docs[i], true
 }
 
-// Catalog returns the corpus catalog, with every member index registered.
-func (c *Corpus) Catalog() *xmlstore.Catalog { return c.catalog }
+// Index returns the index of the member holding t, or nil when t is not a
+// member tree: the corpus is the index store of every engine run against
+// it, so no member index is ever rebuilt.
+func (c *Corpus) Index(t *xdm.Tree) *xmlstore.Index {
+	if i, ok := c.byTree[t]; ok {
+		return c.docs[i].Index
+	}
+	return nil
+}
 
 // Names returns the corpus-level name table.
 func (c *Corpus) Names() *NameTable { return c.names }

@@ -49,16 +49,6 @@ func OpenSnapshot(data []byte) (*Corpus, error) {
 	return fromSnapshot(s)
 }
 
-// OpenSnapshotDeferred is OpenSnapshot without the member loads: members
-// parse and validate themselves the first time a query touches them.
-func OpenSnapshotDeferred(data []byte) (*Corpus, error) {
-	s, err := xmlstore.OpenCorpusDeferred(data)
-	if err != nil {
-		return nil, err
-	}
-	return fromSnapshot(s)
-}
-
 // OpenSnapshotFile maps the snapshot file and opens it deferred: the O(open)
 // path. Only the header, offset table and corpus tables are read; member
 // pages fault in as queries touch them, so a corpus larger than RAM stays

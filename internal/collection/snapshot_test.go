@@ -53,15 +53,15 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("member %d tree ID %d not ascending after %d", i, tb.ID, prevID)
 		}
 		prevID = tb.ID
-		// Members resolve through the loaded corpus maps and catalog.
+		// Members resolve through the loaded corpus maps and index store.
 		if d, ok := c2.ByURI(a.URI); !ok || d != b {
 			t.Fatalf("member %d not resolvable by URI %q", i, a.URI)
 		}
 		if d, ok := c2.ByTree(tb); !ok || d != b {
 			t.Fatalf("member %d not resolvable by tree", i)
 		}
-		if c2.Catalog().Index(tb) != b.Index {
-			t.Fatalf("member %d index not registered in catalog", i)
+		if c2.Index(tb) != b.Index {
+			t.Fatalf("member %d index not held by the corpus", i)
 		}
 	}
 	// Name table survives: same names, same per-member resolution.

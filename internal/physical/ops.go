@@ -154,7 +154,7 @@ type opDoc struct {
 }
 
 func (o *opDoc) eval(rt *Runtime, fr frame) (value, error) {
-	if rt.Docs == nil {
+	if rt.Store == nil {
 		return value{}, fmt.Errorf("exec: doc(): no document collection bound to this evaluation")
 	}
 	arg, err := evalItems(o.uri, rt, fr)
@@ -165,7 +165,7 @@ func (o *opDoc) eval(rt *Runtime, fr frame) (value, error) {
 	if err != nil {
 		return value{}, fmt.Errorf("exec: %w", err)
 	}
-	n, err := rt.Docs.ResolveDoc(uri)
+	n, err := rt.Store.ResolveDoc(uri)
 	if err != nil {
 		return value{}, fmt.Errorf("exec: %w", err)
 	}
@@ -180,7 +180,7 @@ type opCollection struct {
 }
 
 func (o *opCollection) eval(rt *Runtime, fr frame) (value, error) {
-	if rt.Docs == nil {
+	if rt.Store == nil {
 		return value{}, fmt.Errorf("exec: collection(): no document collection bound to this evaluation")
 	}
 	name := ""
@@ -194,7 +194,7 @@ func (o *opCollection) eval(rt *Runtime, fr frame) (value, error) {
 			return value{}, fmt.Errorf("exec: %w", err)
 		}
 	}
-	roots, err := rt.Docs.ResolveCollection(name)
+	roots, err := rt.Store.ResolveCollection(name)
 	if err != nil {
 		return value{}, fmt.Errorf("exec: %w", err)
 	}

@@ -31,11 +31,10 @@ func oracle(t *testing.T, q string, tr *xdm.Tree) (xdm.Sequence, error) {
 }
 
 // docRuntime builds a runtime for p with $dot, $d and $input bound to the
-// document node, a private catalog and a private prepared-join cache.
+// document node, no store and a private prepared-join cache.
 func docRuntime(p *Plan, tr *xdm.Tree) *Runtime {
 	return &Runtime{
-		Catalog: xmlstore.NewCatalog(),
-		Preps:   NewPrepCache(),
+		Preps: NewPrepCache(),
 		Vars: p.BindVars(map[string]xdm.Sequence{
 			"dot":   xdm.Singleton(tr.Root),
 			"d":     xdm.Singleton(tr.Root),

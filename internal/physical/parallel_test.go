@@ -44,9 +44,9 @@ func TestParallelTTPMatchesSequential(t *testing.T) {
 }
 
 // One compiled plan and one runtime, many concurrent Run calls: the serving
-// pattern. The shared catalog builds each index once and the prepared-pattern
-// cache is hit from every goroutine; results must match the single-threaded
-// run (run with -race to validate the synchronization).
+// pattern. The prepared-pattern cache is hit from every goroutine; results
+// must match the single-threaded run (run with -race to validate the
+// synchronization).
 func TestConcurrentRunsShareEngine(t *testing.T) {
 	queries := []string{
 		`$d//person[emailaddress]/name`,

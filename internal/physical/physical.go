@@ -61,24 +61,32 @@ type op interface {
 	eval(rt *Runtime, fr frame) (value, error)
 }
 
+// Store is the document side of a run: it resolves fn:doc($uri) and
+// fn:collection() to document nodes, and hands the pattern operators the
+// prebuilt index of every tree it holds. A corpus is a Store over its
+// members; a standalone document is a Store over itself.
+type Store interface {
+	xdm.DocResolver
+	// Index returns the index of t, or nil when the store does not hold t.
+	Index(t *xdm.Tree) *xmlstore.Index
+}
+
 // Runtime is the execution environment of a compiled plan. It
-// carries only what varies between runs: the document side (catalog, prep
+// carries only what varies between runs: the document side (store, prep
 // cache) and the variable bindings. A Runtime may be shared by concurrent
 // Run calls as long as its fields are not mutated.
 type Runtime struct {
-	// Catalog resolves documents to their indexes, building each once. Nil
-	// falls back to building an index per pattern evaluation.
-	Catalog *xmlstore.Catalog
+	// Store resolves fn:doc/fn:collection and the indexes of its trees. Nil
+	// makes both functions evaluation errors (a plan that never calls them
+	// needs no corpus); a nil store, or a tree it does not hold, falls back
+	// to building an index per pattern preparation.
+	Store Store
 	// Preps caches prepared joins across plans and documents. Nil falls back
 	// to the plan's private per-operator cache plus one-shot preparation.
 	Preps *PrepCache
 	// Parallel caps the goroutines evaluating one TupleTreePattern's context
 	// nodes concurrently (<=1: sequential).
 	Parallel int
-	// Docs resolves fn:doc($uri) and fn:collection() to document nodes. Nil
-	// makes both functions evaluation errors (a plan that never calls them
-	// needs no corpus).
-	Docs xdm.DocResolver
 	// Vars holds the free-variable bindings by the plan's variable slots
 	// (Plan.BindVars). A nil entry is an unbound variable. Nil Vars with a
 	// non-nil Root binds every variable to Root.

@@ -1,10 +1,8 @@
 package physical
 
 import (
-	"container/list"
-	"sync"
-
 	"xqtp/internal/join"
+	"xqtp/internal/lru"
 	"xqtp/internal/pattern"
 	"xqtp/internal/xdm"
 	"xqtp/internal/xmlstore"
@@ -27,23 +25,13 @@ const DefaultPrepCacheSize = 4096
 // once the cap is exceeded (re-preparing is cheap and idempotent, so
 // eviction only costs time). All methods are safe for concurrent use.
 type PrepCache struct {
-	mu      sync.Mutex
-	max     int
-	lru     *list.List // front = most recently used; values are *prepEntry
-	entries map[prepKey]*list.Element
-
-	hits, misses, evictions uint64
+	c *lru.Cache[prepKey, *join.Prepared]
 }
 
 type prepKey struct {
 	pat  *pattern.Pattern
 	tree *xdm.Tree
 	alg  join.Algorithm
-}
-
-type prepEntry struct {
-	key prepKey
-	p   *join.Prepared
 }
 
 // NewPrepCache returns an empty cache with the default bound.
@@ -55,70 +43,24 @@ func NewPrepCacheSize(size int) *PrepCache {
 	if size <= 0 {
 		size = DefaultPrepCacheSize
 	}
-	return &PrepCache{
-		max:     size,
-		lru:     list.New(),
-		entries: make(map[prepKey]*list.Element, min(size, 64)),
-	}
+	return &PrepCache{c: lru.New[prepKey, *join.Prepared](size, 0, nil)}
 }
 
 // Prepared returns the cached prepared pattern, building and caching it on
-// first use. The preparation itself runs
-// outside the lock, so a large document's stream resolution never blocks
-// hits; concurrent misses on the same key may prepare twice, and the first
-// stored entry wins.
+// first use. The preparation itself runs outside the cache lock, so a large
+// document's stream resolution never blocks hits; concurrent misses on the
+// same key may prepare twice, and the first stored entry wins.
 func (pc *PrepCache) Prepared(alg join.Algorithm, ix *xmlstore.Index, pat *pattern.Pattern) (*join.Prepared, error) {
 	key := prepKey{pat: pat, tree: ix.Tree, alg: alg}
-	pc.mu.Lock()
-	if el, ok := pc.entries[key]; ok {
-		pc.lru.MoveToFront(el)
-		pc.hits++
-		p := el.Value.(*prepEntry).p
-		pc.mu.Unlock()
+	if p, ok := pc.c.Get(key); ok {
 		return p, nil
 	}
-	pc.misses++
-	pc.mu.Unlock()
-
 	p, err := join.Prepare(alg, ix, pat)
 	if err != nil {
 		return nil, err
 	}
-
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.entries[key]; ok {
-		pc.lru.MoveToFront(el)
-		return el.Value.(*prepEntry).p, nil
-	}
-	pc.entries[key] = pc.lru.PushFront(&prepEntry{key: key, p: p})
-	for pc.lru.Len() > pc.max {
-		oldest := pc.lru.Back()
-		pc.lru.Remove(oldest)
-		delete(pc.entries, oldest.Value.(*prepEntry).key)
-		pc.evictions++
-	}
-	return p, nil
-}
-
-// PrepCacheStats is a snapshot of cache activity.
-type PrepCacheStats struct {
-	Size      int    // entries currently cached
-	Capacity  int    // maximum entries
-	Hits      uint64 // lookups served from cache
-	Misses    uint64 // lookups that prepared
-	Evictions uint64 // entries dropped by the LRU bound
+	return pc.c.Add(key, p), nil
 }
 
 // Stats returns a snapshot of the cache counters.
-func (pc *PrepCache) Stats() PrepCacheStats {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return PrepCacheStats{
-		Size:      pc.lru.Len(),
-		Capacity:  pc.max,
-		Hits:      pc.hits,
-		Misses:    pc.misses,
-		Evictions: pc.evictions,
-	}
-}
+func (pc *PrepCache) Stats() lru.Stats { return pc.c.Stats() }

@@ -65,9 +65,10 @@ func (o *opTTP) prepFor(rt *Runtime, t *xdm.Tree) (*join.Prepared, error) {
 		return e.prep, nil
 	}
 	var ix *xmlstore.Index
-	if rt.Catalog != nil {
-		ix = rt.Catalog.Index(t)
-	} else {
+	if rt.Store != nil {
+		ix = rt.Store.Index(t)
+	}
+	if ix == nil {
 		ix = xmlstore.BuildIndex(t)
 	}
 	var p *join.Prepared

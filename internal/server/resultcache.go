@@ -1,22 +1,21 @@
 package server
 
 import (
-	"container/list"
-	"sync"
-
 	"xqtp"
+	"xqtp/internal/lru"
 )
 
 // cacheKey identifies one cacheable response: everything that determines the
-// bytes a request streams. The corpus epoch is the invalidation hook — an
-// Extend swap changes the epoch, so every entry computed against the old
-// membership stops matching without any scan or flush. Workers are absent on
-// purpose: the result is identical at any worker count (the corpus-order
-// merge guarantees it), so requests differing only in parallelism share an
-// entry.
+// bytes a request streams. The corpus generation is the invalidation hook —
+// every AddCorpus and ExtendCorpus registers the name under a new
+// generation, so every entry computed against the old registration stops
+// matching without any scan or flush, even one stored by a request that
+// finished after the swap. Workers are absent on purpose: the result is
+// identical at any worker count (the corpus-order merge guarantees it), so
+// requests differing only in parallelism share an entry.
 type cacheKey struct {
 	corpus string
-	epoch  uint64
+	gen    uint64
 	query  string
 	alg    string
 	format string
@@ -40,30 +39,16 @@ type cacheEntry struct {
 // resultCache is a bounded LRU over rendered responses, limited both by
 // entry count and by total stored bytes. Entries larger than the per-entry
 // cap are never stored: one huge result must not evict the whole working set
-// of small hot answers.
+// of small hot answers. A nil *resultCache is the disabled cache.
 type resultCache struct {
-	mu       sync.Mutex
-	maxN     int
-	maxBytes int64
+	c        *lru.Cache[cacheKey, *cacheEntry]
 	perEntry int64
-	lru      *list.List // front = most recently used; values are *cacheEntry
-	entries  map[cacheKey]*list.Element
-	bytes    int64
-
-	hits, misses, evictions uint64
 }
 
 func newResultCache(maxN int, maxBytes int64) *resultCache {
-	perEntry := maxBytes / 8
-	if perEntry < 1 {
-		perEntry = 1
-	}
 	return &resultCache{
-		maxN:     maxN,
-		maxBytes: maxBytes,
-		perEntry: perEntry,
-		lru:      list.New(),
-		entries:  make(map[cacheKey]*list.Element, min(maxN, 64)),
+		c:        lru.New[cacheKey](maxN, maxBytes, func(e *cacheEntry) int64 { return int64(len(e.body)) }),
+		perEntry: max(maxBytes/8, 1),
 	}
 }
 
@@ -72,16 +57,7 @@ func (rc *resultCache) get(key cacheKey) (*cacheEntry, bool) {
 	if rc == nil {
 		return nil, false
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	el, ok := rc.entries[key]
-	if !ok {
-		rc.misses++
-		return nil, false
-	}
-	rc.hits++
-	rc.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry), true
+	return rc.c.Get(key)
 }
 
 // put stores a completed response, evicting from the LRU tail until both
@@ -90,77 +66,22 @@ func (rc *resultCache) put(e *cacheEntry) {
 	if rc == nil || int64(len(e.body)) > rc.perEntry {
 		return
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if el, ok := rc.entries[e.key]; ok {
-		// Same key stored twice (concurrent misses): keep the fresher body.
-		rc.bytes += int64(len(e.body)) - int64(len(el.Value.(*cacheEntry).body))
-		el.Value = e
-		rc.lru.MoveToFront(el)
-	} else {
-		rc.entries[e.key] = rc.lru.PushFront(e)
-		rc.bytes += int64(len(e.body))
-	}
-	for rc.lru.Len() > rc.maxN || rc.bytes > rc.maxBytes {
-		oldest := rc.lru.Back()
-		if oldest == nil {
-			break
-		}
-		ev := oldest.Value.(*cacheEntry)
-		rc.lru.Remove(oldest)
-		delete(rc.entries, ev.key)
-		rc.bytes -= int64(len(ev.body))
-		rc.evictions++
-	}
+	rc.c.Add(e.key, e)
 }
 
-// invalidateCorpus drops every entry of the named corpus. The epoch key
-// already makes stale entries unreachable after an Extend; this proactive
-// sweep just returns their bytes to the budget immediately instead of
-// waiting for LRU aging.
+// invalidateCorpus drops every entry of the named corpus. The generation key
+// already makes stale entries unreachable; this proactive sweep just returns
+// their bytes to the budget immediately instead of waiting for LRU aging.
 func (rc *resultCache) invalidateCorpus(name string) {
 	if rc == nil {
 		return
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	for el := rc.lru.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*cacheEntry); e.key.corpus == name {
-			rc.lru.Remove(el)
-			delete(rc.entries, e.key)
-			rc.bytes -= int64(len(e.body))
-			rc.evictions++
-		}
-		el = next
-	}
+	rc.c.Sweep(func(k cacheKey, _ *cacheEntry) bool { return k.corpus == name })
 }
 
-// CacheStats is a snapshot of the result cache counters, exported on
-// /metrics next to the plan- and prep-cache stats.
-type CacheStats struct {
-	Entries   int
-	Bytes     int64
-	Capacity  int
-	MaxBytes  int64
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-}
-
-func (rc *resultCache) stats() CacheStats {
+func (rc *resultCache) stats() lru.Stats {
 	if rc == nil {
-		return CacheStats{}
+		return lru.Stats{}
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return CacheStats{
-		Entries:   rc.lru.Len(),
-		Bytes:     rc.bytes,
-		Capacity:  rc.maxN,
-		MaxBytes:  rc.maxBytes,
-		Hits:      rc.hits,
-		Misses:    rc.misses,
-		Evictions: rc.evictions,
-	}
+	return rc.c.Stats()
 }

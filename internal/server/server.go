@@ -5,14 +5,15 @@
 // the server's caps; around the engine sit admission control (a bounded
 // worker pool with a bounded wait queue — overload sheds with 429 instead of
 // queueing unboundedly), a bounded LRU result cache keyed by (query, corpus
-// name, corpus epoch) so Extend invalidates by construction, and a /metrics
-// endpoint in the Prometheus text format built from the engine's own cache
-// counters plus the server's latency histogram.
+// name, corpus registration) so Extend and AddCorpus invalidate by
+// construction, and a /metrics endpoint in the Prometheus text format built
+// from the engine's own cache counters plus the server's latency histogram.
 //
 // The package deliberately sits above the public xqtp surface: everything it
-// needs — PrepareCached-style plan caching, Corpus.RunWith streaming with
+// needs of the engine — the plan cache, Corpus.RunWith streaming with
 // budgets, Corpus.Epoch — is exported engine API, so the server is a client
-// of the engine, not a backdoor into it.
+// of the engine, not a backdoor into it. Its one internal import is
+// internal/lru, the generic container behind its result cache.
 package server
 
 import (
@@ -114,7 +115,8 @@ type Server struct {
 	metrics *metrics
 
 	mu      sync.RWMutex
-	corpora map[string]*xqtp.Corpus
+	corpora map[string]registration
+	lastGen uint64 // the generation of the latest registration
 
 	// base is canceled to hard-stop every in-flight evaluation once the
 	// graceful-shutdown drain deadline has passed; each request's execution
@@ -134,7 +136,7 @@ func New(cfg Config) *Server {
 		plans:   xqtp.NewPlanCache(cfg.PlanCacheSize),
 		adm:     newAdmission(cfg.MaxConcurrent, cfg.MaxQueue, cfg.QueueWait),
 		metrics: newMetrics(),
-		corpora: make(map[string]*xqtp.Corpus),
+		corpora: make(map[string]registration),
 	}
 	if !cfg.NoResultCache {
 		s.cache = newResultCache(cfg.ResultCacheEntries, cfg.ResultCacheBytes)
@@ -144,12 +146,27 @@ func New(cfg Config) *Server {
 	return s
 }
 
+// registration is one corpus as registered under a name. gen is unique per
+// registration across the server's life, so a result cached against one
+// registration can never be served for another — not after an Extend, and
+// not after AddCorpus replaces the name with an unrelated corpus whose epoch
+// starts over at 0.
+type registration struct {
+	c   *xqtp.Corpus
+	gen uint64
+}
+
+// register installs c under name with a fresh generation; s.mu is held.
+func (s *Server) register(name string, c *xqtp.Corpus) {
+	s.lastGen++
+	s.corpora[name] = registration{c: c, gen: s.lastGen}
+}
+
 // AddCorpus registers (or replaces) a corpus under name. Replacing drops the
-// name's result-cache entries, since an unrelated corpus restarts the epoch
-// lineage.
+// name's result-cache entries.
 func (s *Server) AddCorpus(name string, c *xqtp.Corpus) {
 	s.mu.Lock()
-	s.corpora[name] = c
+	s.register(name, c)
 	s.mu.Unlock()
 	s.cache.invalidateCorpus(name)
 }
@@ -158,28 +175,29 @@ func (s *Server) AddCorpus(name string, c *xqtp.Corpus) {
 func (s *Server) Corpus(name string) (*xqtp.Corpus, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c, ok := s.corpora[name]
-	return c, ok
+	r, ok := s.corpora[name]
+	return r.c, ok
 }
 
-// resolveCorpus looks up a request's corpus: an empty name resolves when
-// exactly one corpus is registered (the single-tenant convenience).
-func (s *Server) resolveCorpus(name string) (*xqtp.Corpus, string, bool) {
+// resolveCorpus looks up a request's corpus registration: an empty name
+// resolves when exactly one corpus is registered (the single-tenant
+// convenience).
+func (s *Server) resolveCorpus(name string) (registration, string, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if name == "" && len(s.corpora) == 1 {
-		for n, c := range s.corpora {
-			return c, n, true
+		for n, r := range s.corpora {
+			return r, n, true
 		}
 	}
-	c, ok := s.corpora[name]
-	return c, name, ok
+	r, ok := s.corpora[name]
+	return r, name, ok
 }
 
 // ExtendCorpus ingests additional sources into the named corpus and swaps
 // the grown snapshot into the registry. In-flight queries keep the corpus
-// they resolved; new requests see the new membership, and the epoch bump
-// retires every cached result of the old one.
+// they resolved; new requests see the new membership, and the new
+// registration's generation retires every cached result of the old one.
 func (s *Server) ExtendCorpus(name string, sources []xqtp.CorpusSource, workers int) (*xqtp.Corpus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -187,19 +205,19 @@ func (s *Server) ExtendCorpus(name string, sources []xqtp.CorpusSource, workers 
 	if !ok {
 		return nil, fmt.Errorf("no corpus %q", name)
 	}
-	grown, err := cur.Extend(sources, workers)
+	grown, err := cur.c.Extend(sources, workers)
 	if err != nil {
 		return nil, err
 	}
-	s.corpora[name] = grown
-	// The epoch key already unreaches the old entries; sweep them so their
-	// bytes return to the cache budget immediately.
+	s.register(name, grown)
+	// The generation key already unreaches the old entries; sweep them so
+	// their bytes return to the cache budget immediately.
 	s.cache.invalidateCorpus(name)
 	return grown, nil
 }
 
 // CacheStats returns the result-cache counters.
-func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
+func (s *Server) CacheStats() xqtp.CacheStats { return s.cache.stats() }
 
 // InFlight returns the number of requests holding worker slots.
 func (s *Server) InFlight() int { return s.adm.InFlight() }
@@ -230,15 +248,6 @@ func (s *Server) Handler() http.Handler {
 // Serve accepts connections on l until Shutdown. It returns
 // http.ErrServerClosed after a Shutdown, like net/http.
 func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
-
-// ListenAndServe listens on addr and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
 
 // Shutdown drains the server: the listener closes immediately, in-flight
 // requests run to completion, and once ctx expires (the drain deadline) the
@@ -345,12 +354,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing query")
 		return
 	}
-	corpus, corpusName, ok := s.resolveCorpus(req.Corpus)
+	reg, corpusName, ok := s.resolveCorpus(req.Corpus)
 	if !ok {
 		s.metrics.refuse(outNotFound)
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no corpus %q", req.Corpus))
 		return
 	}
+	corpus := reg.c
 	algName := req.Alg
 	if algName == "" {
 		algName = "auto"
@@ -405,7 +415,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	key := cacheKey{
 		corpus: corpusName,
-		epoch:  corpus.Epoch(),
+		gen:    reg.gen,
 		query:  req.Query,
 		alg:    alg.String(),
 		format: format,
@@ -621,8 +631,8 @@ func (s *Server) handleCorpora(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RLock()
 	out := make([]corpusInfo, 0, len(s.corpora))
-	for name, c := range s.corpora {
-		out = append(out, corpusInfo{Name: name, Members: c.Len(), Epoch: c.Epoch(), Nodes: c.NumNodes()})
+	for name, r := range s.corpora {
+		out = append(out, corpusInfo{Name: name, Members: r.c.Len(), Epoch: r.c.Epoch(), Nodes: r.c.NumNodes()})
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -630,8 +640,8 @@ func (s *Server) handleCorpora(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the Prometheus text format from stdlib pieces only:
-// the server's own counters plus the engine cache stats surfaced through
-// xqtp.ServerStats — no internal imports, no client library.
+// the server's own counters plus the plan cache's and its queries'
+// prepared-join cache stats — no client library.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -651,14 +661,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE xqd_shed_total counter\n")
 	fmt.Fprintf(w, "xqd_shed_total %d\n", s.adm.Shed())
 
-	es := s.plans.ServerStats()
-	writeCacheCounters(w, "plan", "Compiled-query plan cache",
-		es.Plan.Hits, es.Plan.Misses, es.Plan.Evictions, es.Plan.Size, es.Plan.Capacity)
-	writeCacheCounters(w, "prep", "Prepared-join caches aggregated over cached queries",
-		es.Prep.Hits, es.Prep.Misses, es.Prep.Evictions, es.Prep.Size, es.Prep.Capacity)
+	writeCacheCounters(w, "plan", "Compiled-query plan cache", s.plans.Stats())
+	writeCacheCounters(w, "prep", "Prepared-join caches aggregated over cached queries", s.plans.PrepStats())
 	cs := s.cache.stats()
-	writeCacheCounters(w, "result", "Rendered-result cache",
-		cs.Hits, cs.Misses, cs.Evictions, cs.Entries, cs.Capacity)
+	writeCacheCounters(w, "result", "Rendered-result cache", cs)
 	fmt.Fprintf(w, "# HELP xqd_result_cache_bytes Bytes held by the result cache.\n")
 	fmt.Fprintf(w, "# TYPE xqd_result_cache_bytes gauge\n")
 	fmt.Fprintf(w, "xqd_result_cache_bytes %d\n", cs.Bytes)
@@ -672,30 +678,30 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP xqd_corpus_members Member documents per corpus.\n")
 	fmt.Fprintf(w, "# TYPE xqd_corpus_members gauge\n")
 	for _, name := range names {
-		fmt.Fprintf(w, "xqd_corpus_members{corpus=%q} %d\n", name, s.corpora[name].Len())
+		fmt.Fprintf(w, "xqd_corpus_members{corpus=%q} %d\n", name, s.corpora[name].c.Len())
 	}
 	fmt.Fprintf(w, "# HELP xqd_corpus_epoch Extension epoch per corpus.\n")
 	fmt.Fprintf(w, "# TYPE xqd_corpus_epoch gauge\n")
 	for _, name := range names {
-		fmt.Fprintf(w, "xqd_corpus_epoch{corpus=%q} %d\n", name, s.corpora[name].Epoch())
+		fmt.Fprintf(w, "xqd_corpus_epoch{corpus=%q} %d\n", name, s.corpora[name].c.Epoch())
 	}
 	s.mu.RUnlock()
 }
 
 // writeCacheCounters emits one cache's hit/miss/eviction/size metrics under
 // xqd_<kind>_cache_*.
-func writeCacheCounters(w io.Writer, kind, help string, hits, misses, evictions uint64, size, capacity int) {
+func writeCacheCounters(w io.Writer, kind, help string, st xqtp.CacheStats) {
 	fmt.Fprintf(w, "# HELP xqd_%s_cache_hits_total %s: lookups served from cache.\n", kind, help)
 	fmt.Fprintf(w, "# TYPE xqd_%s_cache_hits_total counter\n", kind)
-	fmt.Fprintf(w, "xqd_%s_cache_hits_total %d\n", kind, hits)
+	fmt.Fprintf(w, "xqd_%s_cache_hits_total %d\n", kind, st.Hits)
 	fmt.Fprintf(w, "# TYPE xqd_%s_cache_misses_total counter\n", kind)
-	fmt.Fprintf(w, "xqd_%s_cache_misses_total %d\n", kind, misses)
+	fmt.Fprintf(w, "xqd_%s_cache_misses_total %d\n", kind, st.Misses)
 	fmt.Fprintf(w, "# TYPE xqd_%s_cache_evictions_total counter\n", kind)
-	fmt.Fprintf(w, "xqd_%s_cache_evictions_total %d\n", kind, evictions)
+	fmt.Fprintf(w, "xqd_%s_cache_evictions_total %d\n", kind, st.Evictions)
 	fmt.Fprintf(w, "# TYPE xqd_%s_cache_entries gauge\n", kind)
-	fmt.Fprintf(w, "xqd_%s_cache_entries %d\n", kind, size)
+	fmt.Fprintf(w, "xqd_%s_cache_entries %d\n", kind, st.Size)
 	fmt.Fprintf(w, "# TYPE xqd_%s_cache_capacity gauge\n", kind)
-	fmt.Fprintf(w, "xqd_%s_cache_capacity %d\n", kind, capacity)
+	fmt.Fprintf(w, "xqd_%s_cache_capacity %d\n", kind, st.Capacity)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

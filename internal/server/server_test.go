@@ -141,7 +141,7 @@ func TestQueryStreamsEngineResult(t *testing.T) {
 	items, sum := parseNDJSON(t, rec.Body.String())
 
 	corpus, _ := s.Corpus("main")
-	q, err := xqtp.PrepareCached(`$input//person/name`)
+	q, err := xqtp.Prepare(`$input//person/name`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +285,33 @@ func TestResultCacheHitThenExtendInvalidates(t *testing.T) {
 	}
 }
 
+// A request that resolved a corpus before AddCorpus replaced it, and that
+// finishes after the replacement, must not leave its rows cached for the
+// new corpus — whose epoch restarts at 0, like the old one's.
+func TestResultCacheReplacedCorpus(t *testing.T) {
+	s := newTestServer(t, Config{})
+	reqBody := `{"query": "$input//person/name"}`
+
+	bw := newBlockingWriter()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		req := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(reqBody))
+		s.Handler().ServeHTTP(bw, req)
+	}()
+	<-bw.entered // streaming the old corpus's rows
+	s.AddCorpus("main", testCorpus(t, `<site><people><person><name>alan</name></person></people></site>`))
+	close(bw.release)
+	<-done
+
+	rec := postQuery(t, s, reqBody)
+	items, sum := parseNDJSON(t, rec.Body.String())
+	if len(items) != 1 || sum.Cached {
+		t.Fatalf("after replacement: %d items (X-Result-Cache %q, cached=%v), want 1 fresh item",
+			len(items), rec.Header().Get("X-Result-Cache"), sum.Cached)
+	}
+}
+
 // Requests that differ only in worker count share one cache entry (the
 // corpus-order merge makes the bytes identical), while a different format or
 // budget is a distinct key.
@@ -405,12 +432,12 @@ func TestResultCacheBounds(t *testing.T) {
 
 	rc.put(entry("d", 100)) // bytes: b(50)+c(50)+d(100)=200 > ... still under 1000, count evicts b? b was just touched by get, so c goes
 	st := rc.stats()
-	if st.Entries != 2 {
-		t.Fatalf("entries = %d, want 2", st.Entries)
+	if st.Size != 2 {
+		t.Fatalf("entries = %d, want 2", st.Size)
 	}
 	rc.invalidateCorpus("c")
-	if st := rc.stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("invalidateCorpus left %d entries, %d bytes", st.Entries, st.Bytes)
+	if st := rc.stats(); st.Size != 0 || st.Bytes != 0 {
+		t.Fatalf("invalidateCorpus left %d entries, %d bytes", st.Size, st.Bytes)
 	}
 
 	// Nil receiver (cache disabled) is a no-op everywhere.

@@ -141,7 +141,7 @@ func (t *Tree) poison() {
 // NewShellTree returns an empty tree whose columns, symbols and text values
 // arrive later through load. The deferred snapshot loader builds one shell
 // per member at open time: the shell gives the corpus layer a stable
-// identity (tree pointer and ID, the keys of the catalog and preparation
+// identity (tree pointer and ID, the keys of the corpus tree map and preparation
 // caches) while the member's bytes stay untouched on disk. load runs at
 // most once, under the same once gate as materialization; it must fill
 // Cols/Syms (FillColumns) before returning nil.

@@ -12,7 +12,7 @@ package xmlstore
 // member URIs. Loading rebuilds no region encoding and re-interns no name:
 // the fixed-width little-endian arrays are sliced straight out of the
 // snapshot buffer (zero-copy on little-endian hosts, a decode-copy fallback
-// elsewhere or under XQTP_SNAPSHOT_PORTABLE).
+// elsewhere).
 //
 // v3 adds the two tables that let the reader defer everything per member:
 //
@@ -67,7 +67,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -112,11 +111,10 @@ var hostLittleEndian = func() bool {
 
 // forcePortable disables the zero-copy aliasing between snapshot bytes and
 // the loaded columns/streams (and the writer's mirror fast path), forcing
-// the per-element encode/decode loops that big-endian hosts run. Set
-// XQTP_SNAPSHOT_PORTABLE=1 to hold the portable branch to the differential
-// suite without big-endian hardware; in-package tests flip the variable
-// directly.
-var forcePortable = os.Getenv("XQTP_SNAPSHOT_PORTABLE") != ""
+// the per-element encode/decode loops that big-endian hosts run. In-package
+// tests flip it to hold the portable branch to the differential suite
+// without big-endian hardware.
+var forcePortable bool
 
 // aliasInt32 gates the zero-copy int32 view of snapshot bytes.
 func aliasInt32() bool { return hostLittleEndian && !forcePortable }

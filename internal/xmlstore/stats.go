@@ -1,26 +1,13 @@
 package xmlstore
 
-import (
-	"sync"
-
-	"xqtp/internal/xdm"
-)
+import "sync"
 
 // The statistics the optimizer consumes are already sitting in the index:
 // every per-symbol rank stream's length is the exact occurrence count of
-// that name, and the merged streams give the per-kind totals. CountFor and
-// Stats expose them without any new scan over the document — the only
-// derived figure is the per-symbol subtree mass (the containment-selectivity
-// input), computed lazily in one pass over the streams and memoized.
-
-// CountFor returns the exact number of nodes in the document that satisfy
-// an axis step's node test — the length of the step's rank stream. This is
-// the document-wide count; it is an upper bound on the matches of the step
-// from any context node, and a zero proves the step (and any conjunctive
-// pattern containing it) can never match anywhere in the document.
-func (ix *Index) CountFor(axis xdm.Axis, test xdm.NodeTest) int {
-	return len(ix.RanksFor(axis, test))
-}
+// that name, and the merged streams give the per-kind totals. Stats exposes
+// them without any new scan over the document — the only derived figure is
+// the per-symbol subtree mass (the containment-selectivity input), computed
+// lazily in one pass over the streams and memoized.
 
 // Stats is a per-tree statistics snapshot for the cost model: exact totals
 // per node kind, the tree's depth, and per-symbol occurrence counts and
@@ -45,19 +32,6 @@ type Stats struct {
 	// Nested same-tag elements are counted once per occurrence, so the mass
 	// can exceed Nodes for recursive tags; callers clamp the fraction.
 	ElemMass []int64
-}
-
-// ElemFrac returns the estimated fraction of the document's nodes lying at
-// or beneath elements with symbol s, clamped to [0,1].
-func (st *Stats) ElemFrac(s xdm.Sym) float64 {
-	if s < 0 || int(s) >= len(st.ElemMass) || st.Nodes == 0 {
-		return 0
-	}
-	f := float64(st.ElemMass[s]) / float64(st.Nodes)
-	if f > 1 {
-		return 1
-	}
-	return f
 }
 
 // Stats returns the tree's statistics snapshot, built on first use and

@@ -1,13 +1,15 @@
 package xqtp
 
-import (
-	"container/list"
-	"sync"
-)
+import "xqtp/internal/lru"
 
-// DefaultPlanCacheSize is the capacity of the package-level plan cache used
-// by PrepareCached.
+// DefaultPlanCacheSize is the capacity of a plan cache built with a
+// non-positive size.
 const DefaultPlanCacheSize = 256
+
+// CacheStats is a snapshot of one cache's occupancy and activity: a plan
+// cache, a query's prepared-join cache, or the sum of the latter over a plan
+// cache's queries.
+type CacheStats = lru.Stats
 
 // PlanCache is a bounded LRU cache of compiled queries keyed by (query
 // text, compile options). A serving process prepares each distinct query
@@ -19,22 +21,12 @@ const DefaultPlanCacheSize = 256
 // between callers; they are immutable after compilation and safe to Run
 // from many goroutines.
 type PlanCache struct {
-	mu      sync.Mutex
-	max     int
-	lru     *list.List // front = most recently used; values are *planEntry
-	entries map[planKey]*list.Element
-
-	hits, misses, evictions uint64
+	c *lru.Cache[planKey, *Query]
 }
 
 type planKey struct {
 	query string
 	opts  CompileOptions
-}
-
-type planEntry struct {
-	key planKey
-	q   *Query
 }
 
 // NewPlanCache builds a cache holding at most size compiled queries
@@ -43,11 +35,7 @@ func NewPlanCache(size int) *PlanCache {
 	if size <= 0 {
 		size = DefaultPlanCacheSize
 	}
-	return &PlanCache{
-		max:     size,
-		lru:     list.New(),
-		entries: make(map[planKey]*list.Element, size),
-	}
+	return &PlanCache{c: lru.New[planKey, *Query](size, 0, nil)}
 }
 
 // Prepare returns the cached compilation of query under DefaultOptions,
@@ -60,89 +48,45 @@ func (c *PlanCache) Prepare(query string) (*Query, error) {
 // compiling and caching it on a miss. The compile itself runs outside the
 // cache lock, so a slow compilation never blocks cache hits; concurrent
 // misses on the same key may compile twice, and the first stored entry
-// wins.
+// wins, so every caller shares one Query (and one prepared-pattern cache).
 func (c *PlanCache) PrepareWithOptions(query string, opts CompileOptions) (*Query, error) {
 	if opts.ContextVar == "" {
 		// Normalize so "" and the explicit default share one entry.
 		opts.ContextVar = "dot"
 	}
 	key := planKey{query: query, opts: opts}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		q := el.Value.(*planEntry).q
-		c.mu.Unlock()
+	if q, ok := c.c.Get(key); ok {
 		return q, nil
 	}
-	c.misses++
-	c.mu.Unlock()
-
 	q, err := PrepareWithOptions(query, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		// Lost the race: keep the first entry so every caller shares one
-		// Query (and one prepared-pattern cache).
-		c.lru.MoveToFront(el)
-		return el.Value.(*planEntry).q, nil
-	}
-	c.entries[key] = c.lru.PushFront(&planEntry{key: key, q: q})
-	for c.lru.Len() > c.max {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*planEntry).key)
-		c.evictions++
-	}
-	return q, nil
-}
-
-// PlanCacheStats is a snapshot of cache activity.
-type PlanCacheStats struct {
-	Size      int    // entries currently cached
-	Capacity  int    // maximum entries
-	Hits      uint64 // lookups served from cache
-	Misses    uint64 // lookups that compiled
-	Evictions uint64 // entries dropped by the LRU bound
+	return c.c.Add(key, q), nil
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *PlanCache) Stats() PlanCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return PlanCacheStats{
-		Size:      c.lru.Len(),
-		Capacity:  c.max,
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
+func (c *PlanCache) Stats() CacheStats { return c.c.Stats() }
+
+// PrepStats aggregates the prepared-join cache counters over every query
+// currently held by the plan cache: the sum of each cached query's
+// PrepStats. Size and Capacity sum too, so the ratio Size/Capacity keeps its
+// "how full" meaning across the fleet of per-query caches.
+func (c *PlanCache) PrepStats() CacheStats {
+	var total CacheStats
+	for _, q := range c.c.Values() {
+		s := q.PrepStats()
+		total.Size += s.Size
+		total.Capacity += s.Capacity
+		total.Hits += s.Hits
+		total.Misses += s.Misses
+		total.Evictions += s.Evictions
 	}
+	return total
 }
 
 // Reset empties the cache and zeroes its counters.
-func (c *PlanCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.Init()
-	c.entries = make(map[planKey]*list.Element, c.max)
-	c.hits, c.misses, c.evictions = 0, 0, 0
-}
+func (c *PlanCache) Reset() { c.c.Reset() }
 
-// defaultPlanCache backs PrepareCached / PrepareCachedWithOptions.
-var defaultPlanCache = NewPlanCache(DefaultPlanCacheSize)
-
-// PrepareCached is Prepare backed by a process-wide bounded LRU plan cache:
-// the serving-path entry point for repeated queries.
-func PrepareCached(query string) (*Query, error) {
-	return defaultPlanCache.Prepare(query)
-}
-
-// PrepareCachedWithOptions is PrepareWithOptions backed by the process-wide
-// plan cache.
-func PrepareCachedWithOptions(query string, opts CompileOptions) (*Query, error) {
-	return defaultPlanCache.PrepareWithOptions(query, opts)
-}
+// PrepStats returns the query's prepared-join cache counters.
+func (q *Query) PrepStats() CacheStats { return q.preps.Stats() }

@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkServe measures the steady serving state: a mixed XMark workload
-// from cached plans over one shared document, with every goroutine sharing
-// the document's catalog and each query's prepared-pattern cache. Run with
+// from prepared plans over one shared document, with every goroutine sharing
+// the document's index and each query's prepared-pattern cache. Run with
 // -cpu 1,4 to see the QPS scaling:
 //
 //	go test -bench Serve -cpu 1,4 -benchmem .
@@ -16,7 +16,7 @@ func BenchmarkServe(b *testing.B) {
 	doc := xmarkDoc(b, 1000)
 	queries := make([]*Query, 0, len(Figure6Queries))
 	for _, pair := range Figure6Queries {
-		q, err := PrepareCached(pair.Child)
+		q, err := Prepare(pair.Child)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,6 +27,7 @@ import (
 
 	"xqtp/internal/algebra"
 	"xqtp/internal/ast"
+	"xqtp/internal/collection"
 	"xqtp/internal/compile"
 	"xqtp/internal/core"
 	"xqtp/internal/execctx"
@@ -84,22 +85,22 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 }
 
 // Document is a loaded XML document with its index structures. A Document
-// is immutable after load and safe for concurrent Run calls; its catalog
-// hands every engine the same prebuilt index.
+// is immutable after load and safe for concurrent Run calls; every engine
+// run against it uses its one prebuilt index.
 type Document struct {
-	tree    *xdm.Tree
-	index   *xmlstore.Index
-	catalog *xmlstore.Catalog
+	tree  *xdm.Tree
+	index *xmlstore.Index
 	// rootSeq is the document node as a singleton sequence, allocated once:
 	// the uniform binding Run hands to every free variable.
 	rootSeq xdm.Sequence
 	// uri names the document for fn:doc resolution ("" when loaded from a
 	// reader or string without a name).
 	uri string
-	// docs, when the document is a corpus member, resolves fn:doc and
-	// fn:collection against the whole corpus; nil documents resolve against
-	// themselves (the degenerate one-document collection).
-	docs xdm.DocResolver
+	// corpus, when the document is a corpus member, is its run-time store:
+	// fn:doc and fn:collection resolve against the whole corpus. Nil
+	// documents are their own store (the degenerate one-document
+	// collection).
+	corpus *collection.Corpus
 	// mapping is the file mapping behind a document opened with
 	// OpenSnapshotFile; nil otherwise. Close releases it.
 	mapping *xmlstore.Mapping
@@ -140,16 +141,25 @@ func LoadXMLString(s string) (*Document, error) {
 // newDocument wraps an already-built tree (used by the generators and the
 // benchmark harness).
 func newDocument(t *xdm.Tree) *Document {
-	cat := xmlstore.NewCatalog()
-	return &Document{tree: t, index: cat.Index(t), catalog: cat, rootSeq: xdm.Singleton(t.RootNode())}
+	return newDocumentIndexed(xmlstore.BuildIndex(t))
 }
 
-// newDocumentIndexed wraps a fused ingest result, registering its
-// already-built index in the catalog so no engine ever rebuilds it.
+// newDocumentIndexed wraps a fused ingest result; its already-built index is
+// the one every engine run uses.
 func newDocumentIndexed(ix *xmlstore.Index) *Document {
-	cat := xmlstore.NewCatalog()
-	cat.Register(ix)
-	return &Document{tree: ix.Tree, index: ix, catalog: cat, rootSeq: xdm.Singleton(ix.Tree.RootNode())}
+	return &Document{tree: ix.Tree, index: ix, rootSeq: xdm.Singleton(ix.Tree.RootNode())}
+}
+
+// docStore is a standalone document as a run's physical.Store: it resolves
+// fn:doc/fn:collection against the document itself and holds only its own
+// index.
+type docStore struct{ *Document }
+
+func (s docStore) Index(t *xdm.Tree) *xmlstore.Index {
+	if t == s.tree {
+		return s.index
+	}
+	return nil
 }
 
 // Root returns the document node.
@@ -428,21 +438,20 @@ func (q *Query) physicalPlan(alg Algorithm) (*physical.Plan, error) {
 	return v.(*physical.Plan), nil
 }
 
-// runtime builds the per-call runtime: the document's catalog, the query's
+// runtime builds the per-call runtime: the document's store, the query's
 // prepared-pattern cache, and the variable environment. Free-variable slot
 // resolution happened at plan compile time, so the uniform document binding
 // is a single field store, not a map.
 func (q *Query) runtime(doc *Document, workers int) *physical.Runtime {
-	docs := xdm.DocResolver(doc)
-	if doc.docs != nil {
+	var store physical.Store = docStore{doc}
+	if doc.corpus != nil {
 		// A corpus member resolves fn:doc/fn:collection corpus-wide.
-		docs = doc.docs
+		store = doc.corpus
 	}
 	return &physical.Runtime{
-		Catalog:  doc.catalog,
+		Store:    store,
 		Preps:    q.preps,
 		Parallel: workers,
-		Docs:     docs,
 		Root:     doc.rootSeq,
 	}
 }
